@@ -73,6 +73,13 @@ DefyDevice::DefyDevice(std::shared_ptr<blockdev::BlockDevice> phys,
   gens_.assign(physical_, 0);
 }
 
+std::uint64_t DefyDevice::page_sector(std::uint64_t page) const {
+  // The generation counter in the tweak gives every append fresh
+  // ciphertext.
+  return (page * 0x100000000ULL + gens_[page]) *
+         (block_size() / blockdev::kSectorSize);
+}
+
 std::uint64_t DefyDevice::log_advance() {
   // Find the next stale/free physical page at the log head.
   for (std::uint64_t i = 0; i < physical_; ++i) {
@@ -89,24 +96,15 @@ void DefyDevice::append_page(std::uint64_t logical, util::ByteSpan data,
                              PageBatch* batch) {
   const std::uint64_t page = log_advance();
   ++gens_[page];
-  const std::size_t bs = block_size();
-  const std::size_t sectors = bs / blockdev::kSectorSize;
   util::Bytes inline_ct;
   util::MutByteSpan ct;
   if (batch != nullptr) {
     ct = batch->stage(page);
   } else {
-    inline_ct.resize(bs);
+    inline_ct.resize(block_size());
     ct = inline_ct;
   }
-  const std::uint64_t base =
-      (page * 0x100000000ULL + gens_[page]) * sectors;
-  for (std::size_t s = 0; s < sectors; ++s) {
-    cipher_->encrypt_sector(
-        base + s,
-        {data.data() + s * blockdev::kSectorSize, blockdev::kSectorSize},
-        {ct.data() + s * blockdev::kSectorSize, blockdev::kSectorSize});
-  }
+  cipher_->encrypt_range(page_sector(page), blockdev::kSectorSize, data, ct);
   if (clock_) clock_->advance(config_.crypto_ns_per_page);
   if (batch == nullptr) phys_->write_block(page, inline_ct);
 
@@ -142,21 +140,13 @@ void DefyDevice::garbage_collect() {
   // the full decrypt+re-encrypt cost (DEFY re-keys on GC).
   ++gc_runs_;
   const std::uint64_t scan = physical_ / 8;
-  const std::size_t bs = block_size();
-  const std::size_t sectors = bs / blockdev::kSectorSize;
-  util::Bytes ct(bs), plain(bs);
+  util::Bytes ct(block_size()), plain(block_size());
   for (std::uint64_t i = 0; i < scan; ++i) {
     const std::uint64_t p = (head_ + i) % physical_;
     const std::uint64_t logical = page_owner_[p];
     if (logical == kNone) continue;
     phys_->read_block(p, ct);
-    const std::uint64_t base = (p * 0x100000000ULL + gens_[p]) * sectors;
-    for (std::size_t s = 0; s < sectors; ++s) {
-      cipher_->decrypt_sector(
-          base + s,
-          {ct.data() + s * blockdev::kSectorSize, blockdev::kSectorSize},
-          {plain.data() + s * blockdev::kSectorSize, blockdev::kSectorSize});
-    }
+    cipher_->decrypt_range(page_sector(p), blockdev::kSectorSize, ct, plain);
     if (clock_) clock_->advance(config_.crypto_ns_per_page);
     page_owner_[p] = kNone;
     --live_pages_;
@@ -165,29 +155,19 @@ void DefyDevice::garbage_collect() {
   }
 }
 
-void DefyDevice::read_block(std::uint64_t index, util::MutByteSpan out) {
-  check_io(index, out.size());
+void DefyDevice::read_page(std::uint64_t index, util::MutByteSpan out) {
   const std::uint64_t page = map_[index];
   if (page == kNone) {
     std::fill(out.begin(), out.end(), 0);
     return;
   }
-  const std::size_t bs = block_size();
-  const std::size_t sectors = bs / blockdev::kSectorSize;
-  util::Bytes ct(bs);
+  util::Bytes ct(block_size());
   phys_->read_block(page, ct);
-  const std::uint64_t base = (page * 0x100000000ULL + gens_[page]) * sectors;
-  for (std::size_t s = 0; s < sectors; ++s) {
-    cipher_->decrypt_sector(
-        base + s,
-        {ct.data() + s * blockdev::kSectorSize, blockdev::kSectorSize},
-        {out.data() + s * blockdev::kSectorSize, blockdev::kSectorSize});
-  }
+  cipher_->decrypt_range(page_sector(page), blockdev::kSectorSize, ct, out);
   if (clock_) clock_->advance(config_.crypto_ns_per_page);
 }
 
-void DefyDevice::write_block(std::uint64_t index, util::ByteSpan data) {
-  check_io(index, data.size());
+void DefyDevice::write_page(std::uint64_t index, util::ByteSpan data) {
   // GC pressure is measured against the logical capacity: once the live
   // working set approaches it, the head region fills with live pages and
   // they must be relocated (re-keyed) before the log can advance cheaply.
@@ -200,13 +180,14 @@ void DefyDevice::write_block(std::uint64_t index, util::ByteSpan data) {
 }
 
 void DefyDevice::do_write_blocks(std::uint64_t first, util::ByteSpan data) {
-  if (phys_->queue_depth() <= 1) {
-    // Historical per-page path — byte- and time-identical to the seed.
-    BlockDevice::do_write_blocks(first, data);
-    return;
-  }
   const std::size_t bs = block_size();
   const std::uint64_t count = data.size() / bs;
+  if (phys_->queue_depth() <= 1 || count == 1) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      write_page(first + i, data.subspan(i * bs, bs));
+    }
+    return;
+  }
   PageBatch batch(*phys_, bs);
   for (std::uint64_t i = 0; i < count; ++i) {
     const double live_frac = static_cast<double>(live_pages_ +
@@ -227,12 +208,13 @@ void DefyDevice::do_write_blocks(std::uint64_t first, util::ByteSpan data) {
 
 void DefyDevice::do_read_blocks(std::uint64_t first, std::uint64_t count,
                                 util::MutByteSpan out) {
-  if (phys_->queue_depth() <= 1) {
-    BlockDevice::do_read_blocks(first, count, out);
+  const std::size_t bs = block_size();
+  if (phys_->queue_depth() <= 1 || count == 1) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      read_page(first + i, out.subspan(i * bs, bs));
+    }
     return;
   }
-  const std::size_t bs = block_size();
-  const std::size_t sectors = bs / blockdev::kSectorSize;
 
   // Resolve the logical range to mapped physical pages, zero-filling holes,
   // then fan physically contiguous runs out through submit() so page
@@ -266,15 +248,9 @@ void DefyDevice::do_read_blocks(std::uint64_t first, std::uint64_t count,
 
   for (std::size_t m = 0; m < mapped.size(); ++m) {
     const auto [i, page] = mapped[m];
-    const std::uint64_t base = (page * 0x100000000ULL + gens_[page]) * sectors;
-    for (std::size_t s = 0; s < sectors; ++s) {
-      cipher_->decrypt_sector(
-          base + s,
-          {ct.data() + m * bs + s * blockdev::kSectorSize,
-           blockdev::kSectorSize},
-          {out.data() + i * bs + s * blockdev::kSectorSize,
-           blockdev::kSectorSize});
-    }
+    cipher_->decrypt_range(page_sector(page), blockdev::kSectorSize,
+                           util::ByteSpan(ct).subspan(m * bs, bs),
+                           out.subspan(i * bs, bs));
     if (clock_) clock_->advance(config_.crypto_ns_per_page);
   }
 }

@@ -46,19 +46,18 @@ class DefyDevice final : public blockdev::BlockDevice {
     return phys_->block_size();
   }
   std::uint64_t num_blocks() const noexcept override { return logical_; }
-  void read_block(std::uint64_t index, util::MutByteSpan out) override;
-  void write_block(std::uint64_t index, util::ByteSpan data) override;
   void flush() override { phys_->flush(); }
 
   std::uint64_t gc_runs() const noexcept { return gc_runs_; }
 
  protected:
-  /// Vectored paths, used when the physical device keeps multiple requests
-  /// in flight (queue_depth() > 1): appended pages — data and metadata —
-  /// are encrypted into a staging buffer and issued as coalesced vectored
-  /// submit() runs (the log head makes them mostly contiguous), and reads
-  /// fan mapped-page runs out through submit(). At queue depth 1 the
-  /// historical per-page paths run unchanged, byte- and time-identical.
+  /// When the physical device keeps multiple requests in flight
+  /// (queue_depth() > 1), a multi-page call is batched: appended pages —
+  /// data and metadata — are encrypted into a staging buffer and issued as
+  /// coalesced vectored submit() runs (the log head makes them mostly
+  /// contiguous), and reads fan mapped-page runs out through submit(). At
+  /// queue depth 1, and for one-page calls at any depth, the per-page
+  /// helpers run page by page (a one-page batch would time differently).
   /// Bookkeeping, RNG draws and crypto charges are order-identical on both
   /// paths, so device state is bit-identical at every depth.
   void do_read_blocks(std::uint64_t first, std::uint64_t count,
@@ -70,12 +69,18 @@ class DefyDevice final : public blockdev::BlockDevice {
   /// staging buffer and flush as coalesced async submissions.
   struct PageBatch;
 
+  /// The per-page paths: one logical page through the log.
+  void read_page(std::uint64_t index, util::MutByteSpan out);
+  void write_page(std::uint64_t index, util::ByteSpan data);
+
   /// Appends into `batch` when non-null, else writes through directly.
   void append_page(std::uint64_t logical, util::ByteSpan data,
                    PageBatch* batch = nullptr);
   void append_metadata_pages(PageBatch* batch = nullptr);
   void garbage_collect();
   std::uint64_t log_advance();
+  /// First cipher sector of `page` under its current generation.
+  std::uint64_t page_sector(std::uint64_t page) const;
 
   std::shared_ptr<blockdev::BlockDevice> phys_;
   std::unique_ptr<crypto::SectorCipher> cipher_;

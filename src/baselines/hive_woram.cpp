@@ -45,21 +45,17 @@ void HiveWoOram::charge_posmap() {
   }
 }
 
-void HiveWoOram::write_slot(std::uint64_t slot, util::ByteSpan plain) {
-  ++gens_[slot];
-  const std::size_t bs = block_size();
-  const std::size_t sectors = bs / blockdev::kSectorSize;
-  util::Bytes ct(bs);
+std::uint64_t HiveWoOram::slot_sector(std::uint64_t slot) const {
   // Randomised encryption: fold the per-slot generation counter into the
   // tweak so rewrites of a slot produce fresh ciphertext.
-  const std::uint64_t base =
-      (slot * 0x100000000ULL + gens_[slot]) * sectors;
-  for (std::size_t s = 0; s < sectors; ++s) {
-    cipher_->encrypt_sector(
-        base + s,
-        {plain.data() + s * blockdev::kSectorSize, blockdev::kSectorSize},
-        {ct.data() + s * blockdev::kSectorSize, blockdev::kSectorSize});
-  }
+  return (slot * 0x100000000ULL + gens_[slot]) *
+         (block_size() / blockdev::kSectorSize);
+}
+
+void HiveWoOram::write_slot(std::uint64_t slot, util::ByteSpan plain) {
+  ++gens_[slot];
+  util::Bytes ct(block_size());
+  cipher_->encrypt_range(slot_sector(slot), blockdev::kSectorSize, plain, ct);
   emit_slot_write(slot, std::move(ct));
 }
 
@@ -101,18 +97,9 @@ void HiveWoOram::flush_slot_writes() {
 }
 
 util::Bytes HiveWoOram::read_slot(std::uint64_t slot) {
-  const std::size_t bs = block_size();
-  const std::size_t sectors = bs / blockdev::kSectorSize;
-  util::Bytes ct(bs), plain(bs);
+  util::Bytes ct(block_size()), plain(block_size());
   phys_->read_block(slot, ct);
-  const std::uint64_t base =
-      (slot * 0x100000000ULL + gens_[slot]) * sectors;
-  for (std::size_t s = 0; s < sectors; ++s) {
-    cipher_->decrypt_sector(
-        base + s,
-        {ct.data() + s * blockdev::kSectorSize, blockdev::kSectorSize},
-        {plain.data() + s * blockdev::kSectorSize, blockdev::kSectorSize});
-  }
+  cipher_->decrypt_range(slot_sector(slot), blockdev::kSectorSize, ct, plain);
   return plain;
 }
 
@@ -131,8 +118,7 @@ void HiveWoOram::rerandomise_slot(std::uint64_t slot) {
   }
 }
 
-void HiveWoOram::read_block(std::uint64_t index, util::MutByteSpan out) {
-  check_io(index, out.size());
+void HiveWoOram::read_logical(std::uint64_t index, util::MutByteSpan out) {
   charge_posmap();
   const auto it = stash_.find(index);
   if (it != stash_.end()) {
@@ -150,11 +136,13 @@ void HiveWoOram::read_block(std::uint64_t index, util::MutByteSpan out) {
 
 void HiveWoOram::do_read_blocks(std::uint64_t first, std::uint64_t count,
                                 util::MutByteSpan out) {
+  const std::size_t bs = block_size();
   if (phys_->queue_depth() <= 1) {
-    BlockDevice::do_read_blocks(first, count, out);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      read_logical(first + i, out.subspan(i * bs, bs));
+    }
     return;
   }
-  const std::size_t bs = block_size();
   util::Bytes ct(static_cast<std::size_t>(count) * bs);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> fetched;  // (i, slot)
   fs::RunCoalescer runs(bs, [&](std::uint64_t slot_first,
@@ -188,24 +176,22 @@ void HiveWoOram::do_read_blocks(std::uint64_t first, std::uint64_t count,
   runs.flush();
   phys_->drain();
 
-  const std::size_t sectors = bs / blockdev::kSectorSize;
   for (std::size_t m = 0; m < fetched.size(); ++m) {
     const auto [i, slot] = fetched[m];
-    const std::uint64_t base =
-        (slot * 0x100000000ULL + gens_[slot]) * sectors;
-    for (std::size_t s = 0; s < sectors; ++s) {
-      cipher_->decrypt_sector(
-          base + s,
-          {ct.data() + m * bs + s * blockdev::kSectorSize,
-           blockdev::kSectorSize},
-          {out.data() + i * bs + s * blockdev::kSectorSize,
-           blockdev::kSectorSize});
-    }
+    cipher_->decrypt_range(slot_sector(slot), blockdev::kSectorSize,
+                           util::ByteSpan(ct).subspan(m * bs, bs),
+                           out.subspan(i * bs, bs));
   }
 }
 
-void HiveWoOram::write_block(std::uint64_t index, util::ByteSpan data) {
-  check_io(index, data.size());
+void HiveWoOram::do_write_blocks(std::uint64_t first, util::ByteSpan data) {
+  const std::size_t bs = block_size();
+  for (std::uint64_t i = 0; i * bs < data.size(); ++i) {
+    write_logical(first + i, data.subspan(i * bs, bs));
+  }
+}
+
+void HiveWoOram::write_logical(std::uint64_t index, util::ByteSpan data) {
   ++logical_writes_;
   charge_posmap();
   batching_ = phys_->queue_depth() > 1;

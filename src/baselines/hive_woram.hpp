@@ -53,8 +53,6 @@ class HiveWoOram final : public blockdev::BlockDevice {
     return phys_->block_size();
   }
   std::uint64_t num_blocks() const noexcept override { return logical_; }
-  void read_block(std::uint64_t index, util::MutByteSpan out) override;
-  void write_block(std::uint64_t index, util::ByteSpan data) override;
   void flush() override { phys_->flush(); }
 
   std::size_t stash_size() const noexcept { return stash_.size(); }
@@ -66,12 +64,20 @@ class HiveWoOram final : public blockdev::BlockDevice {
   /// submitted as its own async request — the slots are uniformly random,
   /// so runs rarely coalesce, but the fetches overlap under the device
   /// queue. Position-map charges and results are identical to the
-  /// per-block path; at queue depth 1 that historical path runs unchanged.
+  /// per-block path, which runs at queue depth 1.
   void do_read_blocks(std::uint64_t first, std::uint64_t count,
                       util::MutByteSpan out) override;
+  /// Block by block: every logical write samples its own k slots.
+  void do_write_blocks(std::uint64_t first, util::ByteSpan data) override;
 
  private:
+  /// The per-block paths: one logical block through the ORAM.
+  void read_logical(std::uint64_t index, util::MutByteSpan out);
+  void write_logical(std::uint64_t index, util::ByteSpan data);
+
   void charge_posmap();
+  /// First cipher sector of `slot` under its current generation.
+  std::uint64_t slot_sector(std::uint64_t slot) const;
   /// Writes `plain` into physical `slot` under a fresh generation.
   void write_slot(std::uint64_t slot, util::ByteSpan plain);
   /// Reads and decrypts the current content of `slot`.

@@ -38,6 +38,16 @@ void BlockDevice::check_range(std::uint64_t first, std::uint64_t count,
   }
 }
 
+void BlockDevice::read_block(std::uint64_t index, util::MutByteSpan out) {
+  check_io(index, out.size());
+  do_read_blocks(index, 1, out);
+}
+
+void BlockDevice::write_block(std::uint64_t index, util::ByteSpan data) {
+  check_io(index, data.size());
+  do_write_blocks(index, data);
+}
+
 void BlockDevice::read_blocks(std::uint64_t first, std::uint64_t count,
                               util::MutByteSpan out) {
   check_range(first, count, out.size());
@@ -50,21 +60,6 @@ void BlockDevice::write_blocks(std::uint64_t first, util::ByteSpan data) {
   }
   check_range(first, data.size() / block_size(), data.size());
   do_write_blocks(first, data);
-}
-
-void BlockDevice::do_read_blocks(std::uint64_t first, std::uint64_t count,
-                                 util::MutByteSpan out) {
-  for (std::uint64_t i = 0; i < count; ++i) {
-    read_block(first + i,
-               {out.data() + i * block_size(), block_size()});
-  }
-}
-
-void BlockDevice::do_write_blocks(std::uint64_t first, util::ByteSpan data) {
-  const std::uint64_t count = data.size() / block_size();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    write_block(first + i, {data.data() + i * block_size(), block_size()});
-  }
 }
 
 void BlockDevice::set_queue_depth(std::uint32_t depth) {
@@ -158,13 +153,10 @@ std::vector<SubmitResult> submit_segments(BlockDevice& dev, IoOp op,
                                           std::uint64_t first,
                                           std::uint8_t* buf,
                                           std::uint64_t count,
-                                          std::uint64_t available_ns,
-                                          bool collect) {
+                                          std::uint64_t available_ns) {
   std::vector<SubmitResult> results;
-  if (collect) {
-    results.reserve(static_cast<std::size_t>(
-        (count + kSubmitSegmentBlocks - 1) / kSubmitSegmentBlocks));
-  }
+  results.reserve(static_cast<std::size_t>(
+      (count + kSubmitSegmentBlocks - 1) / kSubmitSegmentBlocks));
   const std::size_t bs = dev.block_size();
   for (std::uint64_t done = 0; done < count; done += kSubmitSegmentBlocks) {
     const std::uint64_t n = std::min(kSubmitSegmentBlocks, count - done);
@@ -179,39 +171,27 @@ std::vector<SubmitResult> submit_segments(BlockDevice& dev, IoOp op,
     } else {
       req.write_buf = {buf + done * bs, len};
     }
-    const SubmitResult r = dev.submit(req);
-    if (collect) results.push_back(r);
+    results.push_back(dev.submit(req));
   }
   return results;
 }
 }  // namespace
 
-void submit_read_segments(BlockDevice& dev, std::uint64_t first,
-                          util::MutByteSpan buf) {
-  submit_segments(dev, IoOp::kRead, first, buf.data(),
-                  buf.size() / dev.block_size(), 0, false);
-}
-
-void submit_write_segments(BlockDevice& dev, std::uint64_t first,
-                           util::ByteSpan buf) {
-  submit_segments(dev, IoOp::kWrite, first,
-                  const_cast<std::uint8_t*>(buf.data()),
-                  buf.size() / dev.block_size(), 0, false);
-}
-
-std::vector<SubmitResult> submit_read_segments_timed(
-    BlockDevice& dev, std::uint64_t first, util::MutByteSpan buf,
-    std::uint64_t available_ns) {
+std::vector<SubmitResult> submit_read_segments(BlockDevice& dev,
+                                               std::uint64_t first,
+                                               util::MutByteSpan buf,
+                                               std::uint64_t available_ns) {
   return submit_segments(dev, IoOp::kRead, first, buf.data(),
-                         buf.size() / dev.block_size(), available_ns, true);
+                         buf.size() / dev.block_size(), available_ns);
 }
 
-std::vector<SubmitResult> submit_write_segments_timed(
-    BlockDevice& dev, std::uint64_t first, util::ByteSpan buf,
-    std::uint64_t available_ns) {
+std::vector<SubmitResult> submit_write_segments(BlockDevice& dev,
+                                                std::uint64_t first,
+                                                util::ByteSpan buf,
+                                                std::uint64_t available_ns) {
   return submit_segments(dev, IoOp::kWrite, first,
                          const_cast<std::uint8_t*>(buf.data()),
-                         buf.size() / dev.block_size(), available_ns, true);
+                         buf.size() / dev.block_size(), available_ns);
 }
 
 void fill_random(BlockDevice& dev, std::uint64_t first, std::uint64_t count,
@@ -231,16 +211,6 @@ MemBlockDevice::MemBlockDevice(std::uint64_t num_blocks,
     : num_blocks_(num_blocks),
       block_size_(block_size),
       data_(num_blocks * block_size, 0) {}
-
-void MemBlockDevice::read_block(std::uint64_t index, util::MutByteSpan out) {
-  check_io(index, out.size());
-  std::memcpy(out.data(), data_.data() + index * block_size_, block_size_);
-}
-
-void MemBlockDevice::write_block(std::uint64_t index, util::ByteSpan data) {
-  check_io(index, data.size());
-  std::memcpy(data_.data() + index * block_size_, data.data(), block_size_);
-}
 
 void MemBlockDevice::do_read_blocks(std::uint64_t first, std::uint64_t count,
                                     util::MutByteSpan out) {
@@ -267,16 +237,6 @@ FileBlockDevice::FileBlockDevice(const std::string& path,
 
 FileBlockDevice::~FileBlockDevice() {
   if (fd_ >= 0) ::close(fd_);
-}
-
-void FileBlockDevice::read_block(std::uint64_t index, util::MutByteSpan out) {
-  check_io(index, out.size());
-  do_read_blocks(index, 1, out);
-}
-
-void FileBlockDevice::write_block(std::uint64_t index, util::ByteSpan data) {
-  check_io(index, data.size());
-  do_write_blocks(index, data);
 }
 
 namespace {

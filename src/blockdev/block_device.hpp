@@ -40,6 +40,26 @@ inline constexpr std::size_t kSectorSize = 512;
 /// Android kernel issues to eMMC.
 inline constexpr std::size_t kDefaultBlockSize = 4096;
 
+// -- implementing a device ---------------------------------------------------
+//
+// A device carries two data hooks, and only two:
+//
+//  * the vectored hooks do_read_blocks/do_write_blocks (pure virtual) —
+//    the synchronous path. read_block/write_block are non-virtual shims
+//    that validate, then issue a one-block vectored call, so a layer has
+//    exactly one synchronous body and a one-block request cannot drift
+//    from a longer one;
+//  * do_submit — the async path. The default shim runs the request
+//    through the vectored hooks and completes it at time 0; timed devices
+//    and wrappers that forward submissions downward override it.
+//
+// Wrappers over exactly one lower device derive from ForwardingDevice
+// (below), which forwards geometry, flush, queue depth, the completion
+// cutoff and all five protected hooks unchanged; a wrapper overrides only
+// the hooks it actually changes. Layers that own their queue model
+// (TimedDevice, ftl::FtlDevice) or fan out to several lower devices
+// (striping, mirroring, LVM, thin volumes) derive from BlockDevice.
+
 // -- async submit/complete engine ---------------------------------------------
 //
 // io_uring-shaped: callers queue IoRequests with submit() and reap
@@ -117,11 +137,12 @@ class BlockDevice {
   virtual std::uint64_t num_blocks() const noexcept = 0;
 
   /// Read one whole block. `out.size()` must equal block_size().
-  /// Throws util::IoError on out-of-range access.
-  virtual void read_block(std::uint64_t index, util::MutByteSpan out) = 0;
+  /// Throws util::IoError on out-of-range access. A one-block vectored
+  /// call: there is no separate per-block path to override.
+  void read_block(std::uint64_t index, util::MutByteSpan out);
 
   /// Write one whole block. `data.size()` must equal block_size().
-  virtual void write_block(std::uint64_t index, util::ByteSpan data) = 0;
+  void write_block(std::uint64_t index, util::ByteSpan data);
 
   /// Persist outstanding writes (a barrier for layered caches/metadata).
   virtual void flush() {}
@@ -227,14 +248,13 @@ class BlockDevice {
   void check_range(std::uint64_t first, std::uint64_t count,
                    std::size_t len) const;
 
-  /// Vectored-read hook, called with a validated range. The default loops
-  /// over read_block(); contiguous backends override with one copy.
+  /// Vectored-read hook, called with a validated range (count may be 1:
+  /// read_block lands here too).
   virtual void do_read_blocks(std::uint64_t first, std::uint64_t count,
-                              util::MutByteSpan out);
+                              util::MutByteSpan out) = 0;
 
-  /// Vectored-write hook, called with a validated range. Default loops
-  /// over write_block().
-  virtual void do_write_blocks(std::uint64_t first, util::ByteSpan data);
+  /// Vectored-write hook, called with a validated range.
+  virtual void do_write_blocks(std::uint64_t first, util::ByteSpan data) = 0;
 
  private:
   /// Removes and returns pending completions with complete_ns <= cutoff,
@@ -246,6 +266,56 @@ class BlockDevice {
   std::vector<IoCompletion> pending_;
 };
 
+/// Base for wrappers over one lower device. Every public virtual and every
+/// protected hook forwards to inner() unchanged, so a subclass overrides
+/// only what it changes — and a wrapper that overrides nothing is byte-
+/// and time-transparent on every path.
+class ForwardingDevice : public BlockDevice {
+ public:
+  explicit ForwardingDevice(std::shared_ptr<BlockDevice> inner)
+      : inner_(std::move(inner)) {}
+
+  std::size_t block_size() const noexcept override {
+    return inner_->block_size();
+  }
+  std::uint64_t num_blocks() const noexcept override {
+    return inner_->num_blocks();
+  }
+  void flush() override { inner_->flush(); }
+  std::uint32_t queue_depth() const noexcept override {
+    return inner_->queue_depth();
+  }
+  void set_queue_depth(std::uint32_t depth) override {
+    inner_->set_queue_depth(depth);
+  }
+  std::uint64_t completion_cutoff() const noexcept override {
+    return inner_->completion_cutoff();
+  }
+
+  const std::shared_ptr<BlockDevice>& inner() const noexcept {
+    return inner_;
+  }
+
+ protected:
+  void do_read_blocks(std::uint64_t first, std::uint64_t count,
+                      util::MutByteSpan out) override {
+    inner_->read_blocks(first, count, out);
+  }
+  void do_write_blocks(std::uint64_t first, util::ByteSpan data) override {
+    inner_->write_blocks(first, data);
+  }
+  std::uint64_t do_submit(const IoRequest& req) override {
+    return inner_->submit(req).complete_ns;
+  }
+  void do_drain() override { inner_->drain(); }
+  void do_wait_until(std::uint64_t cutoff) override {
+    inner_->wait_until(cutoff);
+  }
+
+ private:
+  std::shared_ptr<BlockDevice> inner_;
+};
+
 /// RAM-backed block device.
 class MemBlockDevice final : public BlockDevice {
  public:
@@ -255,8 +325,6 @@ class MemBlockDevice final : public BlockDevice {
 
   std::size_t block_size() const noexcept override { return block_size_; }
   std::uint64_t num_blocks() const noexcept override { return num_blocks_; }
-  void read_block(std::uint64_t index, util::MutByteSpan out) override;
-  void write_block(std::uint64_t index, util::ByteSpan data) override;
 
   /// Direct access for test assertions (not part of the device contract).
   const util::Bytes& raw() const noexcept { return data_; }
@@ -279,27 +347,19 @@ class MemBlockDevice final : public BlockDevice {
 inline constexpr std::uint64_t kSubmitSegmentBlocks = 32;
 
 /// Submits the read of blocks [first, first + buf.size()/block_size) in
-/// kSubmitSegmentBlocks-sized segments. Data lands in `buf` at submit
-/// time; callers drain() (or poll) the device to complete the flight.
-void submit_read_segments(BlockDevice& dev, std::uint64_t first,
-                          util::MutByteSpan buf);
+/// kSubmitSegmentBlocks-sized segments that start no earlier than
+/// `available_ns` (0 = immediately). Data lands in `buf` at submit time;
+/// callers drain() (or poll) the device to complete the flight. Returns one
+/// SubmitResult per segment, in submission order, so callers scheduling
+/// dependent work know each segment's modelled completion time without a
+/// drain().
+std::vector<SubmitResult> submit_read_segments(BlockDevice& dev,
+                                               std::uint64_t first,
+                                               util::MutByteSpan buf,
+                                               std::uint64_t available_ns = 0);
 
 /// Write-side twin of submit_read_segments.
-void submit_write_segments(BlockDevice& dev, std::uint64_t first,
-                           util::ByteSpan buf);
-
-/// Per-segment variant of submit_read_segments: returns one SubmitResult
-/// per submitted segment, in submission order, so callers scheduling
-/// dependent work — the background cache flusher riding poll_completions()
-/// and the sharded-clock sync wrappers — know each segment's modelled
-/// completion time without a drain(). Segments may start no earlier than
-/// `available_ns` (0 = immediately).
-std::vector<SubmitResult> submit_read_segments_timed(
-    BlockDevice& dev, std::uint64_t first, util::MutByteSpan buf,
-    std::uint64_t available_ns = 0);
-
-/// Write-side twin of submit_read_segments_timed.
-std::vector<SubmitResult> submit_write_segments_timed(
+std::vector<SubmitResult> submit_write_segments(
     BlockDevice& dev, std::uint64_t first, util::ByteSpan buf,
     std::uint64_t available_ns = 0);
 
@@ -323,8 +383,6 @@ class FileBlockDevice final : public BlockDevice {
 
   std::size_t block_size() const noexcept override { return block_size_; }
   std::uint64_t num_blocks() const noexcept override { return num_blocks_; }
-  void read_block(std::uint64_t index, util::MutByteSpan out) override;
-  void write_block(std::uint64_t index, util::ByteSpan data) override;
 
   void flush() override;
 

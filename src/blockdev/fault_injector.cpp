@@ -3,7 +3,9 @@
 namespace mobiceal::blockdev {
 
 FaultInjector::FaultInjector(FaultPlan plan)
-    : plan_(std::move(plan)), rng_(plan_.seed) {
+    : plan_(std::move(plan)),
+      rng_(plan_.seed),
+      write_budget_(plan_.write_budget_blocks) {
   util::MutexLock lock(mu_);
   latent_.insert(plan_.latent_bad_blocks.begin(),
                  plan_.latent_bad_blocks.end());
@@ -39,7 +41,8 @@ void FaultInjector::on_read(std::uint64_t first, std::uint64_t count) {
   }
 }
 
-void FaultInjector::on_write(std::uint64_t first, std::uint64_t count) {
+std::uint64_t FaultInjector::on_write(std::uint64_t first,
+                                      std::uint64_t count) {
   util::MutexLock lock(mu_);
   if (dead_) throw MemberDead();
   if (plan_.drop_after_requests > 0 &&
@@ -47,12 +50,22 @@ void FaultInjector::on_write(std::uint64_t first, std::uint64_t count) {
     dead_ = true;
     throw MemberDead();
   }
+  std::uint64_t ok = count;
+  if (write_budget_ >= 0) {
+    if (count <= static_cast<std::uint64_t>(write_budget_)) {
+      write_budget_ -= static_cast<std::int64_t>(count);
+    } else {
+      ok = static_cast<std::uint64_t>(write_budget_);
+      write_budget_ = -1;  // one crash per arming
+    }
+  }
   // A rewrite clears any pending (latent-bad) sector it covers.
   auto it = latent_.lower_bound(first);
-  while (it != latent_.end() && *it < first + count) {
+  while (it != latent_.end() && *it < first + ok) {
     it = latent_.erase(it);
     ++healed_;
   }
+  return ok;
 }
 
 void FaultInjector::on_flush() {
@@ -70,6 +83,16 @@ void FaultInjector::on_flush() {
 void FaultInjector::drop_now() {
   util::MutexLock lock(mu_);
   dead_ = true;
+}
+
+void FaultInjector::rearm_write_budget(std::int64_t blocks) {
+  util::MutexLock lock(mu_);
+  write_budget_ = blocks;
+}
+
+std::int64_t FaultInjector::write_budget() const {
+  util::MutexLock lock(mu_);
+  return write_budget_;
 }
 
 bool FaultInjector::dead() const {

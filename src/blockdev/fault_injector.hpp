@@ -1,10 +1,11 @@
 // FaultInjector — programmable device-fault policy for the whole I/O
-// surface of a BlockDevice.
+// surface of a BlockDevice. One fault model serves the commit-ordering
+// crash tests and the degraded-operation stack (dm::MirrorTarget):
 //
-// fault_device.hpp's RecordingDevice/FaultyDevice are scalpels for the
-// commit-ordering tests; this layer is the array-level fault model a
-// degraded-operation stack (dm::MirrorTarget) is built against:
-//
+//   * write budget            — the device accepts N more written blocks,
+//     then a write throws InjectedFault after landing the prefix that fits
+//     (the kernel may complete part of a vectored request) — the crash-
+//     replay tool of the thin-pool commit tests;
 //   * transient read errors   — per-request probability (ppm), the media
 //     soft errors a retry (on the same or a peer member) absorbs;
 //   * latent bad sectors      — persistent read failures on chosen blocks
@@ -14,19 +15,18 @@
 //     (or immediately via drop_now()), as a dying eMMC does;
 //   * power-cut-at-Nth-flush  — the Nth flush barrier never completes and
 //     the member is dead afterwards; writes issued *before* the cut are
-//     durable, matching the crash-replay discipline of the existing
-//     FaultyDevice tests (data moves at submit time, the simulation's
-//     analogue of "reached the medium").
+//     durable (data moves at submit time, the simulation's analogue of
+//     "reached the medium").
 //
 // All decisions draw from a util::Xoshiro256 seeded by FaultPlan::seed —
-// runs replay bit-for-bit (raw rand is lint-banned). Faults fire *before*
-// the inner device is touched: a faulted request moves no data and charges
-// no virtual time (it dies in the controller, not on the medium).
+// runs replay bit-for-bit (raw rand is lint-banned). Faults other than the
+// write budget fire *before* the inner device is touched: a faulted request
+// moves no data and charges no virtual time (it dies in the controller, not
+// on the medium).
 //
 // FaultInjectedDevice wraps any BlockDevice and consults the injector on
-// every entry point — single-block, vectored, and the async submit path —
-// closing the bypass the satellite fix in fault_device.hpp also closes for
-// the recording/budget devices.
+// every entry point — vectored (which carries read_block/write_block) and
+// the async submit path.
 #pragma once
 
 #include <cstdint>
@@ -64,6 +64,12 @@ class MemberDead : public util::IoError {
   MemberDead() : util::IoError("injected fault: member dropped") {}
 };
 
+/// Thrown when a FaultPlan write budget runs out.
+class InjectedFault : public util::IoError {
+ public:
+  InjectedFault() : util::IoError("injected device fault") {}
+};
+
 /// Simulated power loss at a flush barrier: the barrier never completes,
 /// the member is dead afterwards. Thrown exactly once; later operations
 /// see MemberDead.
@@ -87,6 +93,11 @@ struct FaultPlan {
   std::int64_t drop_after_requests = -1;
   /// Power cut on the Nth flush, 1-based (-1: never).
   std::int64_t power_cut_at_flush = -1;
+  /// Blocks that may be written before a write throws InjectedFault (-1:
+  /// never). The fault disarms the budget until
+  /// FaultInjector::rearm_write_budget() — one crash per arming, like a
+  /// real power cut.
+  std::int64_t write_budget_blocks = -1;
 };
 
 /// Shared, thread-safe fault state for one member device. Separate from the
@@ -100,10 +111,12 @@ class FaultInjector {
   /// for a latent/transient failure. Counts one request.
   void on_read(std::uint64_t first, std::uint64_t count);
 
-  /// Gate a write of [first, first+count). Throws MemberDead. A surviving
-  /// write heals any latent bad blocks it covers (rewrite clears the
-  /// pending sector). Counts one request.
-  void on_write(std::uint64_t first, std::uint64_t count);
+  /// Gate a write of [first, first+count). Throws MemberDead. Returns how
+  /// many leading blocks may land: `count`, or fewer when the write budget
+  /// runs out — the budget then disarms, and the caller lands that prefix
+  /// and throws InjectedFault. Landing blocks heal any latent bad blocks
+  /// they cover (rewrite clears the pending sector). Counts one request.
+  std::uint64_t on_write(std::uint64_t first, std::uint64_t count);
 
   /// Gate a flush. Throws PowerCut on the scheduled barrier (then marks
   /// the member dead), MemberDead thereafter.
@@ -111,6 +124,12 @@ class FaultInjector {
 
   /// Drops the member immediately (bench/test control plane).
   void drop_now();
+
+  /// Re-arms the write budget: `blocks` more blocks may land (negative
+  /// disarms).
+  void rearm_write_budget(std::int64_t blocks);
+  /// Blocks left before the budget fires (negative: disarmed).
+  std::int64_t write_budget() const;
 
   bool dead() const;
   std::uint64_t latent_bad_count() const;
@@ -131,6 +150,7 @@ class FaultInjector {
   bool dead_ GUARDED_BY(mu_) = false;
   std::int64_t requests_ GUARDED_BY(mu_) = 0;
   std::int64_t flushes_ GUARDED_BY(mu_) = 0;
+  std::int64_t write_budget_ GUARDED_BY(mu_) = -1;
   std::uint64_t transient_faults_ GUARDED_BY(mu_) = 0;
   std::uint64_t latent_faults_ GUARDED_BY(mu_) = 0;
   std::uint64_t healed_ GUARDED_BY(mu_) = 0;
@@ -141,73 +161,61 @@ class FaultInjector {
 /// vectored (one command, one locality judgement) and submissions reach the
 /// inner device's own queue-depth engine, so a fault-free plan is byte- and
 /// time-identical to the bare inner device.
-class FaultInjectedDevice final : public BlockDevice {
+class FaultInjectedDevice final : public ForwardingDevice {
  public:
   FaultInjectedDevice(std::shared_ptr<BlockDevice> inner,
                       std::shared_ptr<FaultInjector> injector)
-      : inner_(std::move(inner)), injector_(std::move(injector)) {}
+      : ForwardingDevice(std::move(inner)), injector_(std::move(injector)) {}
 
-  std::size_t block_size() const noexcept override {
-    return inner_->block_size();
-  }
-  std::uint64_t num_blocks() const noexcept override {
-    return inner_->num_blocks();
-  }
-  void read_block(std::uint64_t index, util::MutByteSpan out) override {
-    injector_->on_read(index, 1);
-    inner_->read_block(index, out);
-  }
-  void write_block(std::uint64_t index, util::ByteSpan data) override {
-    injector_->on_write(index, 1);
-    inner_->write_block(index, data);
-  }
   void flush() override {
     injector_->on_flush();
-    inner_->flush();
-  }
-
-  std::uint32_t queue_depth() const noexcept override {
-    return inner_->queue_depth();
-  }
-  void set_queue_depth(std::uint32_t depth) override {
-    inner_->set_queue_depth(depth);
-  }
-  std::uint64_t completion_cutoff() const noexcept override {
-    return inner_->completion_cutoff();
+    ForwardingDevice::flush();
   }
 
   const std::shared_ptr<FaultInjector>& injector() const noexcept {
     return injector_;
-  }
-  const std::shared_ptr<BlockDevice>& inner() const noexcept {
-    return inner_;
   }
 
  protected:
   void do_read_blocks(std::uint64_t first, std::uint64_t count,
                       util::MutByteSpan out) override {
     injector_->on_read(first, count);
-    inner_->read_blocks(first, count, out);
+    ForwardingDevice::do_read_blocks(first, count, out);
   }
   void do_write_blocks(std::uint64_t first, util::ByteSpan data) override {
-    injector_->on_write(first, data.size() / inner_->block_size());
-    inner_->write_blocks(first, data);
+    const std::uint64_t count = data.size() / block_size();
+    const std::uint64_t ok = injector_->on_write(first, count);
+    // A budget fault mid-range lands the surviving prefix, then fails.
+    if (ok > 0 || ok == count) {
+      ForwardingDevice::do_write_blocks(first, data.first(ok * block_size()));
+    }
+    if (ok != count) throw InjectedFault();
   }
   std::uint64_t do_submit(const IoRequest& req) override {
     switch (req.op) {
-      case IoOp::kRead: injector_->on_read(req.first, req.count); break;
-      case IoOp::kWrite: injector_->on_write(req.first, req.count); break;
-      case IoOp::kFlush: injector_->on_flush(); break;
+      case IoOp::kRead:
+        injector_->on_read(req.first, req.count);
+        break;
+      case IoOp::kWrite: {
+        const std::uint64_t ok = injector_->on_write(req.first, req.count);
+        if (ok == req.count) break;
+        // Budget fault mid-request: land the surviving prefix, then fail.
+        if (ok > 0) {
+          IoRequest prefix = req;
+          prefix.count = ok;
+          prefix.write_buf = req.write_buf.first(ok * block_size());
+          ForwardingDevice::do_submit(prefix);
+        }
+        throw InjectedFault();
+      }
+      case IoOp::kFlush:
+        injector_->on_flush();
+        break;
     }
-    return inner_->submit(req).complete_ns;
-  }
-  void do_drain() override { inner_->drain(); }
-  void do_wait_until(std::uint64_t cutoff) override {
-    inner_->wait_until(cutoff);
+    return ForwardingDevice::do_submit(req);
   }
 
  private:
-  std::shared_ptr<BlockDevice> inner_;
   std::shared_ptr<FaultInjector> injector_;
 };
 

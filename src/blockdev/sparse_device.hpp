@@ -20,23 +20,28 @@ class SparseBlockDevice final : public BlockDevice {
   std::size_t block_size() const noexcept override { return block_size_; }
   std::uint64_t num_blocks() const noexcept override { return num_blocks_; }
 
-  void read_block(std::uint64_t index, util::MutByteSpan out) override {
-    check_io(index, out.size());
-    const auto it = blocks_.find(index);
-    if (it == blocks_.end()) {
-      std::fill(out.begin(), out.end(), 0);
-    } else {
-      std::copy(it->second.begin(), it->second.end(), out.begin());
-    }
-  }
-
-  void write_block(std::uint64_t index, util::ByteSpan data) override {
-    check_io(index, data.size());
-    blocks_[index].assign(data.begin(), data.end());
-  }
-
   /// Number of blocks ever written (storage actually consumed).
   std::size_t materialised_blocks() const noexcept { return blocks_.size(); }
+
+ protected:
+  void do_read_blocks(std::uint64_t first, std::uint64_t count,
+                      util::MutByteSpan out) override {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const util::MutByteSpan dst = out.subspan(i * block_size_, block_size_);
+      const auto it = blocks_.find(first + i);
+      if (it == blocks_.end()) {
+        std::fill(dst.begin(), dst.end(), 0);
+      } else {
+        std::copy(it->second.begin(), it->second.end(), dst.begin());
+      }
+    }
+  }
+  void do_write_blocks(std::uint64_t first, util::ByteSpan data) override {
+    for (std::uint64_t i = 0; i * block_size_ < data.size(); ++i) {
+      const util::ByteSpan src = data.subspan(i * block_size_, block_size_);
+      blocks_[first + i].assign(src.begin(), src.end());
+    }
+  }
 
  private:
   std::uint64_t num_blocks_;

@@ -74,6 +74,7 @@ std::uint64_t TimedDevice::command_ns(std::uint64_t first,
 
 void TimedDevice::charge(std::uint64_t first, std::uint64_t count,
                          bool is_write) {
+  advance_to_idle();
   // One command setup per request; blocks within the request stream at the
   // sequential transfer rate (the controller sees one scatter-gather list).
   const std::uint64_t ns =
@@ -81,6 +82,8 @@ void TimedDevice::charge(std::uint64_t first, std::uint64_t count,
       count * (is_write ? model_.write_per_block_ns
                         : model_.read_per_block_ns);
   clock_->advance(ns);
+  (is_write ? writes_ : reads_) += count;
+  ++vectored_;
 }
 
 void TimedDevice::advance_to_idle() {
@@ -169,37 +172,16 @@ void TimedDevice::do_wait_until(std::uint64_t cutoff) {
   if (cutoff > clock_->now()) clock_->advance(cutoff - clock_->now());
 }
 
-void TimedDevice::read_block(std::uint64_t index, util::MutByteSpan out) {
-  advance_to_idle();
-  charge(index, 1, /*is_write=*/false);
-  ++reads_;
-  inner_->read_block(index, out);
-}
-
-void TimedDevice::write_block(std::uint64_t index, util::ByteSpan data) {
-  advance_to_idle();
-  charge(index, 1, /*is_write=*/true);
-  ++writes_;
-  inner_->write_block(index, data);
-}
-
 void TimedDevice::do_read_blocks(std::uint64_t first, std::uint64_t count,
                                  util::MutByteSpan out) {
   if (count == 0) return;  // empty requests are free, like everywhere else
-  advance_to_idle();
   charge(first, count, /*is_write=*/false);
-  reads_ += count;
-  ++vectored_;
   inner_->read_blocks(first, count, out);
 }
 
 void TimedDevice::do_write_blocks(std::uint64_t first, util::ByteSpan data) {
-  const std::uint64_t count = data.size() / block_size();
-  if (count == 0) return;
-  advance_to_idle();
-  charge(first, count, /*is_write=*/true);
-  writes_ += count;
-  ++vectored_;
+  if (data.empty()) return;
+  charge(first, data.size() / block_size(), /*is_write=*/true);
   inner_->write_blocks(first, data);
 }
 

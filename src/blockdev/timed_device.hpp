@@ -75,8 +75,6 @@ class TimedDevice final : public BlockDevice {
   std::uint64_t num_blocks() const noexcept override {
     return inner_->num_blocks();
   }
-  void read_block(std::uint64_t index, util::MutByteSpan out) override;
-  void write_block(std::uint64_t index, util::ByteSpan data) override;
   void flush() override;
 
   util::SimClock& clock() noexcept { return *clock_; }
@@ -90,7 +88,8 @@ class TimedDevice final : public BlockDevice {
   std::uint64_t flushes() const noexcept { return flushes_; }
   std::uint64_t sequential_ios() const noexcept { return sequential_; }
   std::uint64_t random_ios() const noexcept { return random_; }
-  /// Vectored requests serviced (subset of the request counters above).
+  /// Synchronous requests serviced — every read_block/write_block and
+  /// vectored call (subset of the request counters above).
   std::uint64_t vectored_ios() const noexcept { return vectored_; }
   /// Requests serviced through the async submit path.
   std::uint64_t async_ios() const noexcept { return async_; }
@@ -122,8 +121,8 @@ class TimedDevice final : public BlockDevice {
   void do_write_blocks(std::uint64_t first, util::ByteSpan data) override;
 
  private:
-  /// Charges service time for a request of `count` blocks at `first`;
-  /// updates locality state.
+  /// Synchronous service of `count` blocks at `first`: drains in-flight
+  /// requests, charges the time, updates locality state and counters.
   void charge(std::uint64_t first, std::uint64_t count, bool is_write);
 
   /// Command cost for a request at `first` (per-IO overhead + locality
@@ -157,66 +156,6 @@ class TimedDevice final : public BlockDevice {
   /// Clock reset hook: ctrl/slot/outstanding times are absolute virtual
   /// nanoseconds and must zero with the clock between bench repetitions.
   util::SimClock::ResetHookId reset_hook_ = 0;
-};
-
-/// Pure counting wrapper (no timing) for unit tests and I/O-amplification
-/// measurements (e.g. counting ORAM write blow-up in the HIVE baseline).
-class StatsDevice final : public BlockDevice {
- public:
-  explicit StatsDevice(std::shared_ptr<BlockDevice> inner)
-      : inner_(std::move(inner)) {}
-
-  std::size_t block_size() const noexcept override {
-    return inner_->block_size();
-  }
-  std::uint64_t num_blocks() const noexcept override {
-    return inner_->num_blocks();
-  }
-  void read_block(std::uint64_t index, util::MutByteSpan out) override {
-    ++reads_;
-    inner_->read_block(index, out);
-  }
-  void write_block(std::uint64_t index, util::ByteSpan data) override {
-    ++writes_;
-    inner_->write_block(index, data);
-  }
-  void flush() override {
-    ++flushes_;
-    inner_->flush();
-  }
-
-  std::uint64_t reads() const noexcept { return reads_; }
-  std::uint64_t writes() const noexcept { return writes_; }
-  std::uint64_t flushes() const noexcept { return flushes_; }
-  void reset() noexcept { reads_ = writes_ = flushes_ = 0; }
-
-  std::uint32_t queue_depth() const noexcept override {
-    return inner_->queue_depth();
-  }
-  void set_queue_depth(std::uint32_t depth) override {
-    inner_->set_queue_depth(depth);
-  }
-  std::uint64_t completion_cutoff() const noexcept override {
-    return inner_->completion_cutoff();
-  }
-
- protected:
-  std::uint64_t do_submit(const IoRequest& req) override {
-    switch (req.op) {  // reads()/writes() count block ops, as the sync path
-      case IoOp::kRead: reads_ += req.count; break;
-      case IoOp::kWrite: writes_ += req.count; break;
-      case IoOp::kFlush: ++flushes_; break;
-    }
-    return inner_->submit(req).complete_ns;
-  }
-  void do_drain() override { inner_->drain(); }
-  void do_wait_until(std::uint64_t cutoff) override {
-    inner_->wait_until(cutoff);
-  }
-
- private:
-  std::shared_ptr<BlockDevice> inner_;
-  std::uint64_t reads_ = 0, writes_ = 0, flushes_ = 0;
 };
 
 }  // namespace mobiceal::blockdev

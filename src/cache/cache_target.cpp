@@ -10,7 +10,9 @@ namespace mobiceal::cache {
 CacheTarget::CacheTarget(std::shared_ptr<blockdev::BlockDevice> lower,
                          CacheConfig config,
                          std::shared_ptr<util::SimClock> clock)
-    : lower_(std::move(lower)), config_(config), clock_(std::move(clock)) {
+    : ForwardingDevice(std::move(lower)),
+      config_(config),
+      clock_(std::move(clock)) {
   if (config_.capacity_blocks == 0) {
     throw util::PolicyError("cache: capacity must be > 0 (use cache::wrap "
                             "for an optional cache)");
@@ -162,22 +164,20 @@ void CacheTarget::write_back_dirty(bool background) {
   // at depth 1 a run goes out as one synchronous vectored write, keeping
   // the lower layers' batched fast paths. Final content is identical
   // either way — the engine moves data at submit time.
-  const bool async = lower_->queue_depth() > 1;
+  const bool async = inner()->queue_depth() > 1;
   fs::RunCoalescer runs(bs, [&](std::uint64_t run_first, std::uint64_t blocks,
                                 std::size_t buf_offset) {
     ++counters_.writeback_runs;
     const util::ByteSpan run{stage_.data() + buf_offset,
                              static_cast<std::size_t>(blocks) * bs};
-    if (background) {
-      // Deadline-driven writeback never barriers the queue: timed segment
-      // submission tells us each segment's modelled completion without a
-      // drain, and the foreground traffic issued after the join overlaps
-      // the tail of this batch on the virtual timeline.
-      blockdev::submit_write_segments_timed(*lower_, run_first, run);
-    } else if (async) {
-      blockdev::submit_write_segments(*lower_, run_first, run);
+    if (background || async) {
+      // Segments go out back-to-back so their transfer phases overlap.
+      // Deadline-driven (background) writeback does this at any depth and
+      // never barriers the queue: foreground traffic issued after the join
+      // overlaps the tail of this batch on the virtual timeline.
+      blockdev::submit_write_segments(*inner(), run_first, run);
     } else {
-      lower_->write_blocks(run_first, run);
+      inner()->write_blocks(run_first, run);
     }
   });
   std::size_t off = 0;
@@ -190,9 +190,9 @@ void CacheTarget::write_back_dirty(bool background) {
   if (background) {
     // Reap whatever already finished; the rest stays in flight until the
     // next barrier (fs sync / drain).
-    lower_->poll_completions();
+    inner()->poll_completions();
   } else if (async) {
-    lower_->drain();
+    inner()->drain();
   }
   // Bookkeeping only clears after every run landed: if a lower layer threw
   // mid-flush (say NoSpaceError from the thin pool), the set stays dirty
@@ -203,16 +203,6 @@ void CacheTarget::write_back_dirty(bool background) {
   }
   dirty_fifo_.clear();
   have_first_dirty_ = false;
-}
-
-void CacheTarget::read_block(std::uint64_t index, util::MutByteSpan out) {
-  check_io(index, out.size());
-  do_read_blocks(index, 1, out);
-}
-
-void CacheTarget::write_block(std::uint64_t index, util::ByteSpan data) {
-  check_io(index, data.size());
-  do_write_blocks(index, data);
 }
 
 void CacheTarget::do_read_blocks(std::uint64_t first, std::uint64_t count,
@@ -245,18 +235,18 @@ void CacheTarget::do_read_blocks(std::uint64_t first, std::uint64_t count,
 
   // Same submission strategy as flush_dirty: pipeline segments at depth,
   // the lower layers' synchronous vectored fast path at queue depth 1.
-  const bool async = lower_->queue_depth() > 1;
+  const bool async = inner()->queue_depth() > 1;
   for (const auto& [run_first, run_count] : miss_runs) {
     ++counters_.fill_reads;
     util::MutByteSpan dst{out.data() + (run_first - first) * bs,
                           static_cast<std::size_t>(run_count) * bs};
     if (async) {
-      blockdev::submit_read_segments(*lower_, run_first, dst);
+      blockdev::submit_read_segments(*inner(), run_first, dst);
     } else {
-      lower_->read_blocks(run_first, run_count, dst);
+      inner()->read_blocks(run_first, run_count, dst);
     }
   }
-  if (async) lower_->drain();
+  if (async) inner()->drain();
 
   for (const auto& [run_first, run_count] : miss_runs) {
     for (std::uint64_t i = 0; i < run_count; ++i) {
@@ -278,7 +268,7 @@ void CacheTarget::do_write_blocks(std::uint64_t first, util::ByteSpan data) {
     // Exact lower write sequence preserved: one vectored pass-through.
     // Only blocks already resident are refreshed — streaming writes do not
     // flood the read cache.
-    lower_->write_blocks(first, data);
+    inner()->write_blocks(first, data);
     for (std::uint64_t i = 0; i < count; ++i) {
       auto it = entries_.find(first + i);
       if (it == entries_.end()) continue;
@@ -309,17 +299,17 @@ void CacheTarget::do_write_blocks(std::uint64_t first, util::ByteSpan data) {
 
 void CacheTarget::flush() {
   flush_dirty();
-  lower_->flush();
+  inner()->flush();
 }
 
 void CacheTarget::do_drain() {
   flush_dirty();
-  lower_->drain();
+  inner()->drain();
 }
 
 void CacheTarget::do_wait_until(std::uint64_t cutoff) {
   join_flusher();
-  lower_->wait_until(cutoff);
+  inner()->wait_until(cutoff);
 }
 
 std::shared_ptr<blockdev::BlockDevice> wrap(

@@ -107,7 +107,7 @@ struct CacheCounters {
   std::uint64_t flusher_batches = 0;  ///< writebacks handed to the worker
 };
 
-class CacheTarget final : public blockdev::BlockDevice {
+class CacheTarget final : public blockdev::ForwardingDevice {
  public:
   /// `clock` may be null (no copy cost charged — untimed test stacks).
   CacheTarget(std::shared_ptr<blockdev::BlockDevice> lower, CacheConfig config,
@@ -116,28 +116,9 @@ class CacheTarget final : public blockdev::BlockDevice {
   /// Best-effort flush of surviving dirty blocks; never throws.
   ~CacheTarget() override;
 
-  std::size_t block_size() const noexcept override {
-    return lower_->block_size();
-  }
-  std::uint64_t num_blocks() const noexcept override {
-    return lower_->num_blocks();
-  }
-  void read_block(std::uint64_t index, util::MutByteSpan out) override;
-  void write_block(std::uint64_t index, util::ByteSpan data) override;
-
   /// Barrier: writes back the dirty set (coalesced, async) and forwards the
   /// flush to the lower device.
   void flush() override;
-
-  std::uint32_t queue_depth() const noexcept override {
-    return lower_->queue_depth();
-  }
-  void set_queue_depth(std::uint32_t depth) override {
-    lower_->set_queue_depth(depth);
-  }
-  std::uint64_t completion_cutoff() const noexcept override {
-    return lower_->completion_cutoff();
-  }
 
   const CacheConfig& config() const noexcept { return config_; }
   const CacheCounters& counters() const noexcept { return counters_; }
@@ -150,6 +131,13 @@ class CacheTarget final : public blockdev::BlockDevice {
   void do_read_blocks(std::uint64_t first, std::uint64_t count,
                       util::MutByteSpan out) override;
   void do_write_blocks(std::uint64_t first, util::ByteSpan data) override;
+
+  /// Submissions take the base shim, i.e. the cached vectored paths above
+  /// (a flush request runs flush()): the cache has no queue of its own,
+  /// and forwarding a submission would bypass it.
+  std::uint64_t do_submit(const blockdev::IoRequest& req) override {
+    return BlockDevice::do_submit(req);
+  }
 
   /// Drain is the async barrier: dirty set flushes first, then the lower
   /// device drains.
@@ -185,7 +173,7 @@ class CacheTarget final : public blockdev::BlockDevice {
 
   /// The shared writeback body. Foreground (`background == false`) keeps
   /// the historical semantics: submit runs, then a full lower drain().
-  /// Background keeps the lower queue open: timed segment submission plus
+  /// Background keeps the lower queue open: segment submission plus
   /// a poll_completions() reap, so traffic issued after the handoff
   /// overlaps the writeback on the virtual timeline.
   void write_back_dirty(bool background);
@@ -206,7 +194,6 @@ class CacheTarget final : public blockdev::BlockDevice {
 
   void charge_copy(std::uint64_t blocks);
 
-  std::shared_ptr<blockdev::BlockDevice> lower_;
   CacheConfig config_;
   std::shared_ptr<util::SimClock> clock_;
   std::unordered_map<std::uint64_t, Entry> entries_;

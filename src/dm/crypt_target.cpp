@@ -17,12 +17,12 @@ CryptTarget::CryptTarget(std::shared_ptr<blockdev::BlockDevice> lower,
                          std::shared_ptr<util::SimClock> clock,
                          CryptCpuModel cpu,
                          std::shared_ptr<crypto::CryptoWorkerPool> pool)
-    : lower_(std::move(lower)),
+    : ForwardingDevice(std::move(lower)),
       cipher_(crypto::make_sector_cipher(spec, key)),
       clock_(std::move(clock)),
       cpu_(cpu),
       pool_(pool ? std::move(pool) : crypto::CryptoWorkerPool::shared()),
-      sectors_per_block_(lower_->block_size() / blockdev::kSectorSize),
+      sectors_per_block_(block_size() / blockdev::kSectorSize),
       lane_free_ns_(std::max<std::uint32_t>(1, cpu.lanes), 0) {
   if (clock_) {
     reset_hook_ = clock_->add_reset_hook([this] {
@@ -90,48 +90,28 @@ std::uint64_t CryptTarget::lane_charge(std::uint64_t ready_ns,
   return *lane;
 }
 
-void CryptTarget::read_block(std::uint64_t index, util::MutByteSpan out) {
-  check_io(index, out.size());
-  const util::MutByteSpan ct = scratch(ct_scratch_, block_size());
-  lower_->read_block(index, ct);
-  // Decrypt per 512-byte sector, IV keyed on the logical sector number —
-  // exactly dm-crypt's granularity.
-  cipher_->decrypt_range(index * sectors_per_block_, blockdev::kSectorSize,
-                         ct, out);
-  if (clock_) clock_->advance(cpu_.decrypt_ns_per_block);
-}
-
-void CryptTarget::write_block(std::uint64_t index, util::ByteSpan data) {
-  check_io(index, data.size());
-  const util::MutByteSpan ct = scratch(ct_scratch_, block_size());
-  cipher_->encrypt_range(index * sectors_per_block_, blockdev::kSectorSize,
-                         data, ct);
-  if (clock_) clock_->advance(cpu_.encrypt_ns_per_block);
-  lower_->write_block(index, ct);
-}
-
 void CryptTarget::do_read_blocks(std::uint64_t first, std::uint64_t count,
                                  util::MutByteSpan out) {
-  if (lower_->queue_depth() > 1 && count > kPipelineBlocks) {
+  if (inner()->queue_depth() > 1 && count > kPipelineBlocks) {
     read_pipelined(first, count, out);
     return;
   }
   const util::MutByteSpan ct = scratch(ct_scratch_, out.size());
-  lower_->read_blocks(first, count, ct);
+  inner()->read_blocks(first, count, ct);
   xform_range(/*encrypt=*/false, first * sectors_per_block_, ct, out);
   if (clock_) clock_->advance(cpu_.decrypt_ns_per_block * count);
 }
 
 void CryptTarget::do_write_blocks(std::uint64_t first, util::ByteSpan data) {
   const std::uint64_t count = data.size() / block_size();
-  if (lower_->queue_depth() > 1 && count > kPipelineBlocks) {
+  if (inner()->queue_depth() > 1 && count > kPipelineBlocks) {
     write_pipelined(first, data);
     return;
   }
   const util::MutByteSpan ct = scratch(ct_scratch_, data.size());
   xform_range(/*encrypt=*/true, first * sectors_per_block_, data, ct);
   if (clock_) clock_->advance(cpu_.encrypt_ns_per_block * count);
-  lower_->write_blocks(first, ct);
+  inner()->write_blocks(first, ct);
 }
 
 void CryptTarget::read_pipelined(std::uint64_t first, std::uint64_t count,
@@ -155,7 +135,7 @@ void CryptTarget::read_pipelined(std::uint64_t first, std::uint64_t count,
     req.first = first + b;
     req.count = n;
     req.read_buf = {ct.data() + b * bs, static_cast<std::size_t>(n) * bs};
-    const auto r = lower_->submit(req);
+    const auto r = inner()->submit(req);
     segs.push_back({first + b, n, r.complete_ns,
                     static_cast<std::size_t>(b) * bs});
   }
@@ -174,9 +154,9 @@ void CryptTarget::read_pipelined(std::uint64_t first, std::uint64_t count,
   if (overlapped()) {
     // Close only this read's timeline: stripes advance to at most the last
     // decrypt-ready instant, and unrelated in-flight traffic keeps flying.
-    lower_->wait_until(last_done);
+    inner()->wait_until(last_done);
   } else {
-    lower_->drain();
+    inner()->drain();
   }
   if (clock_ && last_done > clock_->now()) {
     clock_->advance(last_done - clock_->now());
@@ -226,7 +206,7 @@ void CryptTarget::write_pipelined(std::uint64_t first, util::ByteSpan data) {
     req.write_buf = {bufs[i % 2].data(), src.size()};
     req.available_ns = ct_ready;
     try {
-      lower_->submit(req);
+      inner()->submit(req);
     } catch (...) {
       // The in-flight encrypt task references this frame: join it before
       // unwinding.
@@ -239,15 +219,13 @@ void CryptTarget::write_pipelined(std::uint64_t first, util::ByteSpan data) {
   // control orders them against later traffic, and the next flush barrier
   // re-merges the shard timelines. Single-timeline mode keeps the
   // historical full barrier.
-  if (!overlapped()) lower_->drain();
+  if (!overlapped()) inner()->drain();
 }
 
 std::uint64_t CryptTarget::do_submit(const blockdev::IoRequest& req) {
   switch (req.op) {
-    case blockdev::IoOp::kFlush: {
-      blockdev::IoRequest fwd = req;
-      return lower_->submit(fwd).complete_ns;
-    }
+    case blockdev::IoOp::kFlush:
+      return ForwardingDevice::do_submit(req);
     case blockdev::IoOp::kWrite: {
       // Encrypt first; the lower request starts once ciphertext is ready.
       // The lower submit moves the data before returning, so the shared
@@ -259,10 +237,10 @@ std::uint64_t CryptTarget::do_submit(const blockdev::IoRequest& req) {
       fwd.write_buf = ct;
       fwd.available_ns = lane_charge(
           req.available_ns, cpu_.encrypt_ns_per_block * req.count);
-      return lower_->submit(fwd).complete_ns;
+      return inner()->submit(fwd).complete_ns;
     }
     case blockdev::IoOp::kRead: {
-      const auto r = lower_->submit(req);
+      const auto r = inner()->submit(req);
       // Ciphertext landed in req.read_buf; decrypt in place (all sector
       // ciphers support it) once the transfer completes on the lane.
       xform_range(/*encrypt=*/false, req.first * sectors_per_block_,
@@ -275,7 +253,7 @@ std::uint64_t CryptTarget::do_submit(const blockdev::IoRequest& req) {
 }
 
 void CryptTarget::do_drain() {
-  lower_->drain();
+  inner()->drain();
   const std::uint64_t busy =
       *std::max_element(lane_free_ns_.begin(), lane_free_ns_.end());
   if (clock_ && busy > clock_->now()) {
@@ -284,7 +262,7 @@ void CryptTarget::do_drain() {
 }
 
 void CryptTarget::do_wait_until(std::uint64_t cutoff) {
-  lower_->wait_until(cutoff);
+  inner()->wait_until(cutoff);
   if (clock_ && cutoff > clock_->now()) {
     clock_->advance(cutoff - clock_->now());
   }

@@ -50,7 +50,7 @@ struct CryptCpuModel {
   static CryptCpuModel zero() { return {0, 0}; }
 };
 
-class CryptTarget final : public blockdev::BlockDevice {
+class CryptTarget final : public blockdev::ForwardingDevice {
  public:
   /// `spec` is a dm-crypt cipher spec ("aes-cbc-essiv:sha256",
   /// "aes-xts-plain64"). `clock` may be null (no CPU time charged).
@@ -66,27 +66,7 @@ class CryptTarget final : public blockdev::BlockDevice {
   CryptTarget(const CryptTarget&) = delete;
   CryptTarget& operator=(const CryptTarget&) = delete;
 
-  std::size_t block_size() const noexcept override {
-    return lower_->block_size();
-  }
-  std::uint64_t num_blocks() const noexcept override {
-    return lower_->num_blocks();
-  }
-  void read_block(std::uint64_t index, util::MutByteSpan out) override;
-  void write_block(std::uint64_t index, util::ByteSpan data) override;
-  void flush() override { lower_->flush(); }
-
   const char* cipher_name() const noexcept { return cipher_->name(); }
-
-  std::uint32_t queue_depth() const noexcept override {
-    return lower_->queue_depth();
-  }
-  void set_queue_depth(std::uint32_t depth) override {
-    lower_->set_queue_depth(depth);
-  }
-  std::uint64_t completion_cutoff() const noexcept override {
-    return lower_->completion_cutoff();
-  }
 
   /// Replaces the crypto worker pool (tests/benches; null = inline).
   void set_crypto_pool(std::shared_ptr<crypto::CryptoWorkerPool> pool);
@@ -140,11 +120,10 @@ class CryptTarget final : public blockdev::BlockDevice {
                       util::MutByteSpan out);
   void write_pipelined(std::uint64_t first, util::ByteSpan data);
 
-  /// Reusable ciphertext scratch, grown geometrically — the vectored and
-  /// per-block paths no longer allocate per call.
+  /// Reusable ciphertext scratch, grown geometrically — the I/O paths do
+  /// not allocate per call.
   util::MutByteSpan scratch(util::Bytes& buf, std::size_t n);
 
-  std::shared_ptr<blockdev::BlockDevice> lower_;
   std::unique_ptr<crypto::SectorCipher> cipher_;
   std::shared_ptr<util::SimClock> clock_;
   std::shared_ptr<util::ClockDomain> domain_;

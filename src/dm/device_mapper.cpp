@@ -33,35 +33,27 @@ bool DeviceMapper::exists(const std::string& name) const noexcept {
 
 LinearTarget::LinearTarget(std::shared_ptr<blockdev::BlockDevice> lower,
                            std::uint64_t start_block, std::uint64_t num_blocks)
-    : lower_(std::move(lower)), start_(start_block), num_blocks_(num_blocks) {
-  if (start_ + num_blocks_ > lower_->num_blocks()) {
+    : ForwardingDevice(std::move(lower)),
+      start_(start_block),
+      num_blocks_(num_blocks) {
+  if (start_ + num_blocks_ > inner()->num_blocks()) {
     throw util::IoError("dm-linear: region exceeds lower device");
   }
 }
 
-void LinearTarget::read_block(std::uint64_t index, util::MutByteSpan out) {
-  check_io(index, out.size());
-  lower_->read_block(start_ + index, out);
-}
-
-void LinearTarget::write_block(std::uint64_t index, util::ByteSpan data) {
-  check_io(index, data.size());
-  lower_->write_block(start_ + index, data);
-}
-
 void LinearTarget::do_read_blocks(std::uint64_t first, std::uint64_t count,
                                   util::MutByteSpan out) {
-  lower_->read_blocks(start_ + first, count, out);
+  inner()->read_blocks(start_ + first, count, out);
 }
 
 void LinearTarget::do_write_blocks(std::uint64_t first, util::ByteSpan data) {
-  lower_->write_blocks(start_ + first, data);
+  inner()->write_blocks(start_ + first, data);
 }
 
 std::uint64_t LinearTarget::do_submit(const blockdev::IoRequest& req) {
   blockdev::IoRequest fwd = req;
   if (fwd.op != blockdev::IoOp::kFlush) fwd.first += start_;
-  return lower_->submit(fwd).complete_ns;
+  return inner()->submit(fwd).complete_ns;
 }
 
 }  // namespace mobiceal::dm

@@ -37,29 +37,12 @@ class DeviceMapper {
 
 /// dm-linear: maps a contiguous region [start, start+len) of a lower device
 /// as a standalone device. LVM logical volumes are stacks of these.
-class LinearTarget final : public blockdev::BlockDevice {
+class LinearTarget final : public blockdev::ForwardingDevice {
  public:
   LinearTarget(std::shared_ptr<blockdev::BlockDevice> lower,
                std::uint64_t start_block, std::uint64_t num_blocks);
 
-  std::size_t block_size() const noexcept override {
-    return lower_->block_size();
-  }
   std::uint64_t num_blocks() const noexcept override { return num_blocks_; }
-  void read_block(std::uint64_t index, util::MutByteSpan out) override;
-  void write_block(std::uint64_t index, util::ByteSpan data) override;
-
-  void flush() override { lower_->flush(); }
-
-  std::uint32_t queue_depth() const noexcept override {
-    return lower_->queue_depth();
-  }
-  void set_queue_depth(std::uint32_t depth) override {
-    lower_->set_queue_depth(depth);
-  }
-  std::uint64_t completion_cutoff() const noexcept override {
-    return lower_->completion_cutoff();
-  }
 
  protected:
   /// Vectored I/O stays vectored: one shifted request to the lower device.
@@ -70,10 +53,15 @@ class LinearTarget final : public blockdev::BlockDevice {
   /// Async submissions forward with the offset applied, preserving the
   /// modelled completion time.
   std::uint64_t do_submit(const blockdev::IoRequest& req) override;
-  void do_drain() override { lower_->drain(); }
+
+  /// Deliberately NOT forwarded — a known model gap (docs/ARCHITECTURE.md,
+  /// "Known model gaps"): the partial barrier stops here, so a sharded
+  /// read barrier issued above never reaches the stripes below. Forwarding
+  /// it here and in lvm::LogicalVolume would move the striped QD8 virtual
+  /// timeline, a model change.
+  void do_wait_until(std::uint64_t cutoff) override { (void)cutoff; }
 
  private:
-  std::shared_ptr<blockdev::BlockDevice> lower_;
   std::uint64_t start_;
   std::uint64_t num_blocks_;
 };

@@ -184,23 +184,6 @@ std::uint64_t MirrorTarget::flush_locked(bool sync) {
   return done;
 }
 
-void MirrorTarget::read_block(std::uint64_t index, util::MutByteSpan out) {
-  check_io(index, out.size());
-  util::MutexLock lock(mu_);
-  read_locked(index, 1, out, 0, /*sync=*/true);
-}
-
-void MirrorTarget::write_block(std::uint64_t index, util::ByteSpan data) {
-  check_io(index, data.size());
-  blockdev::IoRequest req;
-  req.op = blockdev::IoOp::kWrite;
-  req.first = index;
-  req.count = 1;
-  req.write_buf = data;
-  util::MutexLock lock(mu_);
-  write_locked(req, /*sync=*/true);
-}
-
 void MirrorTarget::do_read_blocks(std::uint64_t first, std::uint64_t count,
                                   util::MutByteSpan out) {
   util::MutexLock lock(mu_);

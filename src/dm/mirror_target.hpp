@@ -53,8 +53,6 @@ class MirrorTarget final : public blockdev::BlockDevice {
 
   std::size_t block_size() const noexcept override { return block_size_; }
   std::uint64_t num_blocks() const noexcept override { return num_blocks_; }
-  void read_block(std::uint64_t index, util::MutByteSpan out) override;
-  void write_block(std::uint64_t index, util::ByteSpan data) override;
 
   /// Barrier on every live member (and the spare). Fails closed only when
   /// no live member completed it; a member whose flush fails is kicked.

@@ -216,18 +216,6 @@ std::uint64_t StripedTarget::fan_out(const blockdev::IoRequest& req,
   return done;
 }
 
-void StripedTarget::read_block(std::uint64_t index, util::MutByteSpan out) {
-  check_io(index, out.size());
-  const Placement p = place(index);
-  stripes_[p.stripe]->read_block(p.inner, out);
-}
-
-void StripedTarget::write_block(std::uint64_t index, util::ByteSpan data) {
-  check_io(index, data.size());
-  const Placement p = place(index);
-  stripes_[p.stripe]->write_block(p.inner, data);
-}
-
 void StripedTarget::do_read_blocks(std::uint64_t first, std::uint64_t count,
                                    util::MutByteSpan out) {
   if (stripe_count() == 1) {

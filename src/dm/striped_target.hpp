@@ -58,8 +58,6 @@ class StripedTarget final : public blockdev::BlockDevice {
     return stripes_.front()->block_size();
   }
   std::uint64_t num_blocks() const noexcept override { return num_blocks_; }
-  void read_block(std::uint64_t index, util::MutByteSpan out) override;
-  void write_block(std::uint64_t index, util::ByteSpan data) override;
 
   /// Flush fans out: one flush per backing device, serviced in parallel
   /// through the submit queues (a real array flushes its members

@@ -456,16 +456,6 @@ void FtlDevice::do_wait_until(std::uint64_t cutoff) {
   if (cutoff > clock_->now()) clock_->advance(cutoff - clock_->now());
 }
 
-void FtlDevice::read_block(std::uint64_t index, util::MutByteSpan out) {
-  check_io(index, out.size());
-  do_read_blocks(index, 1, out);
-}
-
-void FtlDevice::write_block(std::uint64_t index, util::ByteSpan data) {
-  check_io(index, data.size());
-  do_write_blocks(index, data);
-}
-
 void FtlDevice::do_read_blocks(std::uint64_t first, std::uint64_t count,
                                util::MutByteSpan out) {
   if (count == 0) return;
@@ -527,15 +517,6 @@ std::uint64_t FtlDevice::free_pages() const noexcept {
 }
 
 // -- FtlLogicalView ----------------------------------------------------------
-
-void FtlLogicalView::read_block(std::uint64_t index, util::MutByteSpan out) {
-  check_io(index, out.size());
-  ftl_->read_logical_untimed(index, 1, out);
-}
-
-void FtlLogicalView::write_block(std::uint64_t, util::ByteSpan) {
-  throw util::PolicyError("ftl: logical view is read-only");
-}
 
 void FtlLogicalView::do_read_blocks(std::uint64_t first, std::uint64_t count,
                                     util::MutByteSpan out) {

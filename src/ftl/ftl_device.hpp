@@ -212,8 +212,6 @@ class FtlDevice final : public blockdev::BlockDevice {
   std::uint64_t num_blocks() const noexcept override {
     return geometry_.logical_pages;
   }
-  void read_block(std::uint64_t index, util::MutByteSpan out) override;
-  void write_block(std::uint64_t index, util::ByteSpan data) override;
   /// NAND has no volatile write cache in this model: flush is a pure
   /// barrier (drains in-flight requests, charges one command).
   void flush() override;
@@ -350,8 +348,6 @@ class FtlLogicalView final : public blockdev::BlockDevice {
   std::uint64_t num_blocks() const noexcept override {
     return ftl_->num_blocks();
   }
-  void read_block(std::uint64_t index, util::MutByteSpan out) override;
-  void write_block(std::uint64_t index, util::ByteSpan data) override;
 
  protected:
   void do_read_blocks(std::uint64_t first, std::uint64_t count,

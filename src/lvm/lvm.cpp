@@ -73,18 +73,6 @@ std::pair<blockdev::BlockDevice*, std::uint64_t> LogicalVolume::map(
   return {s.pv->device().get(), s.extent * extent_blocks_ + off};
 }
 
-void LogicalVolume::read_block(std::uint64_t index, util::MutByteSpan out) {
-  check_io(index, out.size());
-  const auto [dev, phys] = map(index);
-  dev->read_block(phys, out);
-}
-
-void LogicalVolume::write_block(std::uint64_t index, util::ByteSpan data) {
-  check_io(index, data.size());
-  const auto [dev, phys] = map(index);
-  dev->write_block(phys, data);
-}
-
 void LogicalVolume::for_each_phys_run(
     std::uint64_t first, std::uint64_t count,
     const std::function<void(blockdev::BlockDevice&, std::uint64_t,
@@ -164,15 +152,20 @@ std::uint64_t LogicalVolume::do_submit(const blockdev::IoRequest& req) {
   return done;
 }
 
-void LogicalVolume::do_drain() {
+void LogicalVolume::for_each_device(
+    const std::function<void(blockdev::BlockDevice&)>& fn) const {
   std::vector<blockdev::BlockDevice*> seen;
   for (const auto& s : segments_) {
     blockdev::BlockDevice* dev = s.pv->device().get();
     if (std::find(seen.begin(), seen.end(), dev) == seen.end()) {
       seen.push_back(dev);
-      dev->drain();
+      fn(*dev);
     }
   }
+}
+
+void LogicalVolume::do_drain() {
+  for_each_device([](blockdev::BlockDevice& dev) { dev.drain(); });
 }
 
 std::uint32_t LogicalVolume::queue_depth() const noexcept {
@@ -184,26 +177,13 @@ std::uint64_t LogicalVolume::completion_cutoff() const noexcept {
 }
 
 void LogicalVolume::set_queue_depth(std::uint32_t depth) {
-  std::vector<blockdev::BlockDevice*> seen;
-  for (const auto& s : segments_) {
-    blockdev::BlockDevice* dev = s.pv->device().get();
-    if (std::find(seen.begin(), seen.end(), dev) == seen.end()) {
-      seen.push_back(dev);
-      dev->set_queue_depth(depth);
-    }
-  }
+  for_each_device(
+      [depth](blockdev::BlockDevice& dev) { dev.set_queue_depth(depth); });
 }
 
 void LogicalVolume::flush() {
   // One barrier per distinct underlying device, not per extent segment.
-  std::vector<blockdev::BlockDevice*> seen;
-  for (const auto& s : segments_) {
-    blockdev::BlockDevice* dev = s.pv->device().get();
-    if (std::find(seen.begin(), seen.end(), dev) == seen.end()) {
-      seen.push_back(dev);
-      dev->flush();
-    }
-  }
+  for_each_device([](blockdev::BlockDevice& dev) { dev.flush(); });
 }
 
 void VolumeGroup::add_pv(std::shared_ptr<PhysicalVolume> pv) {

@@ -67,8 +67,6 @@ class LogicalVolume final : public blockdev::BlockDevice {
 
   std::size_t block_size() const noexcept override;
   std::uint64_t num_blocks() const noexcept override;
-  void read_block(std::uint64_t index, util::MutByteSpan out) override;
-  void write_block(std::uint64_t index, util::ByteSpan data) override;
   void flush() override;
 
   const std::vector<Segment>& segments() const noexcept { return segments_; }
@@ -91,11 +89,18 @@ class LogicalVolume final : public blockdev::BlockDevice {
   /// completion time is the latest sub-request completion.
   std::uint64_t do_submit(const blockdev::IoRequest& req) override;
   void do_drain() override;
+  // do_wait_until keeps the base no-op: the partial barrier is not
+  // forwarded, like dm::LinearTarget's (docs/ARCHITECTURE.md, Known model
+  // gaps).
 
  private:
   /// Maps an LV block to (device, physical block).
   std::pair<blockdev::BlockDevice*, std::uint64_t> map(
       std::uint64_t index) const;
+
+  /// Calls fn once per distinct PV device, in first-segment order.
+  void for_each_device(
+      const std::function<void(blockdev::BlockDevice&)>& fn) const;
 
   /// Calls fn(dev, phys_first, run_blocks, byte_offset) for each maximal
   /// physically contiguous run of [first, first+count).

@@ -590,19 +590,6 @@ std::vector<ExtentRun> ThinPool::resolve_extents(std::uint32_t id,
 
 // ---- I/O path ------------------------------------------------------------------------------
 
-void ThinPool::volume_read(std::uint32_t id, std::uint64_t lblock,
-                           util::MutByteSpan out) {
-  // The per-block path IS the range path with a one-block range: a single
-  // implementation keeps per-block and batched device state identical by
-  // construction (the batched-equivalence tests pin this down).
-  volume_read_range(id, lblock, out);
-}
-
-void ThinPool::volume_write(std::uint32_t id, std::uint64_t lblock,
-                            util::ByteSpan data) {
-  volume_write_range(id, lblock, data);
-}
-
 void ThinPool::notify_fresh_provision(std::uint32_t id, std::uint64_t phys) {
   // Re-entrancy guard: a dummy write's own allocations must not trigger
   // more dummy writes. thread_local so concurrent submitter threads each
@@ -641,8 +628,8 @@ void ThinPool::volume_read_range(std::uint32_t id, std::uint64_t lblock,
   const auto runs = resolve_extents(id, lblock, out.size() / data_dev_->block_size());
   const std::size_t bs = data_dev_->block_size();
   for (const ExtentRun& run : runs) {
-    // One mapping-tree walk resolves the whole run — the metadata cost no
-    // longer scales with run length, unlike the per-block path.
+    // One mapping-tree walk resolves the whole run — the metadata cost
+    // does not scale with run length.
     charge(cpu_.lookup_read_ns);
     const std::size_t off = (run.lblock - lblock) * bs;
     const util::MutByteSpan dst{out.data() + off,
@@ -913,16 +900,6 @@ std::size_t ThinVolume::block_size() const noexcept {
 
 std::uint64_t ThinVolume::num_blocks() const noexcept {
   return pool_->volumes_[id_].virtual_chunks * pool_->sb_.chunk_blocks;
-}
-
-void ThinVolume::read_block(std::uint64_t index, util::MutByteSpan out) {
-  check_io(index, out.size());
-  pool_->volume_read(id_, index, out);
-}
-
-void ThinVolume::write_block(std::uint64_t index, util::ByteSpan data) {
-  check_io(index, data.size());
-  pool_->volume_write(id_, index, data);
 }
 
 void ThinVolume::do_read_blocks(std::uint64_t first, std::uint64_t count,

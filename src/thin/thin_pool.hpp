@@ -307,18 +307,12 @@ class ThinPool : public std::enable_shared_from_this<ThinPool> {
   void notify_fresh_provision(std::uint32_t id, std::uint64_t phys)
       EXCLUDES(meta_mutex_);
 
-  /// I/O path used by ThinVolume.
-  void volume_read(std::uint32_t id, std::uint64_t lblock,
-                   util::MutByteSpan out) EXCLUDES(meta_mutex_);
-  void volume_write(std::uint32_t id, std::uint64_t lblock,
-                    util::ByteSpan data) EXCLUDES(meta_mutex_);
-
-  /// Vectored I/O path: reads service each extent run with one lower-device
-  /// call (one metadata charge per run); writes proceed chunk-by-chunk (as
-  /// dm-thin splits bios at chunk boundaries) with one vectored write per
-  /// chunk segment, firing the allocation observer after each fresh
-  /// provision exactly as the per-block path does. When async_io() is on,
-  /// both delegate to the submit_* fan-out below and drain.
+  /// I/O path used by ThinVolume: reads service each extent run with one
+  /// lower-device call (one metadata charge per run); writes proceed
+  /// chunk-by-chunk (as dm-thin splits bios at chunk boundaries) with one
+  /// vectored write per chunk segment, firing the allocation observer after
+  /// each fresh provision. When async_io() is on, both delegate to the
+  /// submit_* fan-out below and drain.
   void volume_read_range(std::uint32_t id, std::uint64_t lblock,
                          util::MutByteSpan out) EXCLUDES(meta_mutex_);
   void volume_write_range(std::uint32_t id, std::uint64_t lblock,
@@ -445,8 +439,6 @@ class ThinVolume final : public blockdev::BlockDevice {
 
   std::size_t block_size() const noexcept override;
   std::uint64_t num_blocks() const noexcept override;
-  void read_block(std::uint64_t index, util::MutByteSpan out) override;
-  void write_block(std::uint64_t index, util::ByteSpan data) override;
   /// Flush commits the pool's open transaction (REQ_FLUSH semantics).
   void flush() override;
 

@@ -692,8 +692,7 @@ TEST(QueueDepthModel, TimedSegmentSubmitReportsPerSegmentCompletions) {
   TimedFixture f(/*depth=*/8);
   const util::Bytes buf = pattern(64 * kBs, 29);
   const std::uint64_t floor_ns = 123'456;
-  const auto segs =
-      blockdev::submit_write_segments_timed(*f.dev, 0, buf, floor_ns);
+  const auto segs = blockdev::submit_write_segments(*f.dev, 0, buf, floor_ns);
   ASSERT_EQ(segs.size(), 2u);  // 64 blocks / kSubmitSegmentBlocks
   // Data lands at submit time; only service time is deferred.
   EXPECT_EQ(util::Bytes(f.mem->raw().begin(),

@@ -9,6 +9,7 @@
 #include "baselines/mobiflage.hpp"
 #include "baselines/mobipluto.hpp"
 #include "baselines/timing_flows.hpp"
+#include "blockdev/recording_device.hpp"
 #include "blockdev/timed_device.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
@@ -195,10 +196,9 @@ TEST(HiveWoOram, PhysicalWritePatternIndependentOfLogicalTarget) {
   // The ORAM property: writing the SAME logical block repeatedly still
   // touches uniformly random physical slots.
   auto phys_raw = std::make_shared<blockdev::MemBlockDevice>(2048);
-  auto stats = std::make_shared<blockdev::StatsDevice>(phys_raw);
   const util::Bytes key(32, 0x68);
   baselines::HiveWoOram::Config cfg;
-  auto oram = std::make_shared<baselines::HiveWoOram>(stats, key, cfg);
+  auto oram = std::make_shared<baselines::HiveWoOram>(phys_raw, key, cfg);
   // Snapshot-diff proxy: count distinct physical blocks changed while only
   // logical block 0 is written.
   auto before = phys_raw->snapshot();
@@ -328,16 +328,16 @@ TEST(Defy, RoundTripsThroughLogAndGc) {
 
 TEST(Defy, WritesAreAmplifiedByMetadata) {
   auto phys_raw = std::make_shared<blockdev::MemBlockDevice>(4096);
-  auto stats = std::make_shared<blockdev::StatsDevice>(phys_raw);
+  auto rec = std::make_shared<blockdev::RecordingDevice>(phys_raw);
   const util::Bytes key(32, 0x71);
   baselines::DefyDevice::Config cfg;
   cfg.metadata_amp = 2;
-  auto defy = std::make_shared<baselines::DefyDevice>(stats, key, cfg);
+  auto defy = std::make_shared<baselines::DefyDevice>(rec, key, cfg);
   for (std::uint64_t b = 0; b < 100; ++b) {
     defy->write_block(b, payload(4096, static_cast<std::uint8_t>(b)));
   }
   // 1 data page + metadata_amp metadata pages per logical write.
-  EXPECT_EQ(stats->writes(), 100u * 3u);
+  EXPECT_EQ(rec->blocks(blockdev::IoOp::kWrite), 100u * 3u);
 }
 
 // ---- Table II flow models ------------------------------------------------------------------

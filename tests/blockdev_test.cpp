@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
+#include <utility>
 
 #include "blockdev/block_device.hpp"
-#include "blockdev/fault_device.hpp"
+#include "blockdev/fault_injector.hpp"
+#include "blockdev/recording_device.hpp"
 #include "blockdev/sparse_device.hpp"
 #include "blockdev/timed_device.hpp"
 #include "util/error.hpp"
@@ -98,27 +101,34 @@ TEST(VectoredIo, BatchedPathMatchesPerBlockLoop) {
   EXPECT_EQ(fast, w);
 }
 
-TEST(VectoredIo, DefaultLoopAndOverridesAgreeThroughLayeredDevices) {
-  // StatsDevice inherits the default per-block loop; MemBlockDevice
-  // overrides with a memcpy. Both views of the same data must agree.
+TEST(VectoredIo, OneCommandPerCallThroughLayeredDevices) {
+  // A wrapper forwards a vectored call as ONE command, and read_block is a
+  // one-block vectored call: both views of the same data agree.
   auto inner = std::make_shared<MemBlockDevice>(12);
-  StatsDevice layered(inner);
+  RecordingDevice layered(inner);
   const auto w = pattern(5 * 4096, 23);
-  layered.write_blocks(4, w);           // default loop -> 5 write_block ops
-  EXPECT_EQ(layered.writes(), 5u);
-  EXPECT_EQ(inner->read_blocks(4, 5), w);  // memcpy fast path
+  layered.write_blocks(4, w);
+  ASSERT_EQ(layered.ops().size(), 1u);
+  EXPECT_EQ(layered.ops()[0].first, 4u);
+  EXPECT_EQ(layered.ops()[0].count, 5u);
+  EXPECT_EQ(inner->read_blocks(4, 5), w);
 
   util::Bytes r(5 * 4096);
-  layered.read_blocks(4, 5, r);  // default loop
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    layered.read_block(4 + i, {r.data() + i * 4096, 4096});
+  }
   EXPECT_EQ(r, w);
-  EXPECT_EQ(layered.reads(), 5u);
+  EXPECT_EQ(layered.commands(IoOp::kRead), 5u);
+  EXPECT_EQ(layered.blocks(IoOp::kRead), 5u);
 }
 
 TEST(VectoredIo, MidRangeDeviceFaultLeavesThePrefixWritten) {
   // A lower-device fault mid-range is NOT atomic (kernel semantics): the
   // prefix before the faulting block persists, the rest is untouched.
   auto inner = std::make_shared<MemBlockDevice>(8);
-  FaultyDevice dev(inner, /*writes_before_fault=*/2);
+  FaultPlan plan;
+  plan.write_budget_blocks = 2;
+  FaultInjectedDevice dev(inner, std::make_shared<FaultInjector>(plan));
   EXPECT_THROW(dev.write_blocks(0, pattern(4 * 4096, 24)), InjectedFault);
   const auto w = pattern(4 * 4096, 24);
   EXPECT_EQ(inner->read_blocks(0, 2), util::Bytes(w.begin(),
@@ -237,20 +247,61 @@ TEST(TimedDevice, PresetModelsAreOrderedSensibly) {
   EXPECT_GT(emmc.random_write_penalty_ns, 3 * emmc.random_read_penalty_ns);
 }
 
-TEST(StatsDevice, CountsOperations) {
+TEST(RecordingDevice, CountsOperations) {
   auto inner = std::make_shared<MemBlockDevice>(8);
-  StatsDevice dev(inner);
+  RecordingDevice dev(inner);
   const auto b = pattern(4096, 8);
   util::Bytes r(4096);
   dev.write_block(0, b);
   dev.write_block(1, b);
   dev.read_block(0, r);
   dev.flush();
-  EXPECT_EQ(dev.writes(), 2u);
-  EXPECT_EQ(dev.reads(), 1u);
-  EXPECT_EQ(dev.flushes(), 1u);
-  dev.reset();
-  EXPECT_EQ(dev.writes() + dev.reads() + dev.flushes(), 0u);
+  EXPECT_EQ(dev.blocks(IoOp::kWrite), 2u);
+  EXPECT_EQ(dev.blocks(IoOp::kRead), 1u);
+  EXPECT_EQ(dev.commands(IoOp::kFlush), 1u);
+  dev.clear();
+  EXPECT_TRUE(dev.ops().empty());
+}
+
+TEST(RecordingDevice, IsTransparentOverTimedDevice) {
+  // Mixed per-block, vectored and submitted I/O through the recorder must
+  // leave the same image and the same virtual clock as the bare timed
+  // device, and log each call as one command.
+  auto run = [](bool recorded) {
+    auto mem = std::make_shared<MemBlockDevice>(64);
+    auto clock = std::make_shared<util::SimClock>();
+    auto timed = std::make_shared<TimedDevice>(
+        mem, TimingModel::nexus4_emmc(), clock);
+    timed->set_queue_depth(4);
+    auto rec = std::make_shared<RecordingDevice>(timed);
+    BlockDevice& dev = recorded ? static_cast<BlockDevice&>(*rec) : *timed;
+
+    const auto w = pattern(8 * 4096, 31);
+    dev.write_block(3, {w.data(), 4096});
+    dev.write_blocks(10, w);
+    util::Bytes r(4 * 4096);
+    dev.read_blocks(12, 4, r);
+    submit_write_segments(dev, 40, w);
+    submit_write_segments(dev, 50, w);
+    submit_read_segments(dev, 10, r);
+    dev.drain();
+    dev.read_block(41, {r.data(), 4096});
+    dev.flush();
+    if (recorded) {
+      EXPECT_EQ(rec->ops().size(), 8u);
+      EXPECT_EQ(rec->ops()[1].first, 10u);  // one vectored call, one entry
+      EXPECT_EQ(rec->ops()[1].count, 8u);
+      EXPECT_FALSE(rec->ops()[1].submitted);
+      EXPECT_TRUE(rec->ops()[3].submitted);
+      EXPECT_EQ(rec->blocks(IoOp::kWrite), 1u + 8u + 8u + 8u);
+    }
+    return std::make_pair(mem->snapshot(), clock->now());
+  };
+  const auto bare = run(false);
+  const auto recorded = run(true);
+  EXPECT_EQ(bare.first, recorded.first);
+  EXPECT_EQ(bare.second, recorded.second);
+  EXPECT_GT(bare.second, 0u);
 }
 
 // ---- fault injection -----------------------------------------------------------
@@ -264,33 +315,42 @@ TEST(RecordingDevice, CapturesOperationOrder) {
   dev.read_block(3, r);
   dev.flush();
   ASSERT_EQ(dev.ops().size(), 3u);
-  EXPECT_EQ(dev.ops()[0].kind, DeviceOp::Kind::kWrite);
-  EXPECT_EQ(dev.ops()[0].block, 3u);
-  EXPECT_EQ(dev.ops()[1].kind, DeviceOp::Kind::kRead);
-  EXPECT_EQ(dev.ops()[2].kind, DeviceOp::Kind::kFlush);
+  EXPECT_EQ(dev.ops()[0].op, IoOp::kWrite);
+  EXPECT_EQ(dev.ops()[0].first, 3u);
+  EXPECT_EQ(dev.ops()[0].count, 1u);
+  EXPECT_EQ(dev.ops()[1].op, IoOp::kRead);
+  EXPECT_EQ(dev.ops()[2].op, IoOp::kFlush);
   dev.clear();
   EXPECT_TRUE(dev.ops().empty());
 }
 
+namespace {
+std::shared_ptr<FaultInjectedDevice> budgeted(std::int64_t blocks) {
+  FaultPlan plan;
+  plan.write_budget_blocks = blocks;
+  return std::make_shared<FaultInjectedDevice>(
+      std::make_shared<MemBlockDevice>(8),
+      std::make_shared<FaultInjector>(plan));
+}
+}  // namespace
+
 TEST(FaultyDevice, FailsExactlyOnBudgetExhaustion) {
-  auto inner = std::make_shared<MemBlockDevice>(8);
-  FaultyDevice dev(inner, 2);
+  auto dev = budgeted(2);
   const auto b = pattern(4096, 10);
-  dev.write_block(0, b);
-  dev.write_block(1, b);
-  EXPECT_THROW(dev.write_block(2, b), InjectedFault);
+  dev->write_block(0, b);
+  dev->write_block(1, b);
+  EXPECT_THROW(dev->write_block(2, b), InjectedFault);
   // Reads are unaffected; rearm allows further writes.
   util::Bytes r(4096);
-  dev.read_block(0, r);
+  dev->read_block(0, r);
   EXPECT_EQ(r, b);
-  dev.rearm(1);
-  dev.write_block(2, b);
-  EXPECT_THROW(dev.write_block(3, b), InjectedFault);
+  dev->injector()->rearm_write_budget(1);
+  dev->write_block(2, b);
+  EXPECT_THROW(dev->write_block(3, b), InjectedFault);
 }
 
 TEST(FaultyDevice, NegativeBudgetNeverFails) {
-  auto inner = std::make_shared<MemBlockDevice>(8);
-  FaultyDevice dev(inner, -1);
+  auto dev = budgeted(-1);
   const auto b = pattern(4096, 11);
-  for (int i = 0; i < 8; ++i) dev.write_block(i % 8, b);
+  for (int i = 0; i < 8; ++i) dev->write_block(i % 8, b);
 }

@@ -11,6 +11,7 @@
 
 #include "api/scheme_registry.hpp"
 #include "blockdev/block_device.hpp"
+#include "blockdev/recording_device.hpp"
 #include "blockdev/timed_device.hpp"
 #include "cache/cache_target.hpp"
 #include "fs/run_coalescer.hpp"
@@ -22,55 +23,20 @@ namespace {
 
 using blockdev::kDefaultBlockSize;
 
-/// Records every lower-device write (sync or submitted) as a (first, count)
-/// run, in arrival order.
-class RecordingDevice final : public blockdev::BlockDevice {
- public:
-  explicit RecordingDevice(std::shared_ptr<blockdev::BlockDevice> inner)
-      : inner_(std::move(inner)) {}
+using blockdev::DeviceOp;
+using blockdev::IoOp;
+using blockdev::RecordingDevice;
 
-  std::size_t block_size() const noexcept override {
-    return inner_->block_size();
+/// Lower-device writes (sync or submitted) as (first, count) runs, in
+/// arrival order.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> write_runs(
+    const RecordingDevice& rec) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> runs;
+  for (const DeviceOp& d : rec.ops()) {
+    if (d.op == IoOp::kWrite) runs.emplace_back(d.first, d.count);
   }
-  std::uint64_t num_blocks() const noexcept override {
-    return inner_->num_blocks();
-  }
-  void read_block(std::uint64_t index, util::MutByteSpan out) override {
-    ++read_blocks_;
-    inner_->read_block(index, out);
-  }
-  void write_block(std::uint64_t index, util::ByteSpan data) override {
-    write_runs.emplace_back(index, 1);
-    inner_->write_block(index, data);
-  }
-
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> write_runs;
-  std::uint64_t read_blocks() const noexcept { return read_blocks_; }
-
- protected:
-  void do_read_blocks(std::uint64_t first, std::uint64_t count,
-                      util::MutByteSpan out) override {
-    read_blocks_ += count;
-    inner_->read_blocks(first, count, out);
-  }
-  void do_write_blocks(std::uint64_t first, util::ByteSpan data) override {
-    write_runs.emplace_back(first, data.size() / block_size());
-    inner_->write_blocks(first, data);
-  }
-  std::uint64_t do_submit(const blockdev::IoRequest& req) override {
-    if (req.op == blockdev::IoOp::kWrite) {
-      write_runs.emplace_back(req.first, req.count);
-    } else if (req.op == blockdev::IoOp::kRead) {
-      read_blocks_ += req.count;
-    }
-    return inner_->submit(req).complete_ns;
-  }
-  void do_drain() override { inner_->drain(); }
-
- private:
-  std::shared_ptr<blockdev::BlockDevice> inner_;
-  std::uint64_t read_blocks_ = 0;
-};
+  return runs;
+}
 
 util::Bytes pattern_block(std::uint8_t tag) {
   util::Bytes b(kDefaultBlockSize, tag);
@@ -113,7 +79,7 @@ TEST(CacheTarget, ReadThroughFillsAndServesRepeatsFromRam) {
 
   util::Bytes out(8 * kDefaultBlockSize);
   r.cache->read_blocks(0, 8, out);
-  EXPECT_EQ(r.rec->read_blocks(), 8u);
+  EXPECT_EQ(r.rec->blocks(IoOp::kRead), 8u);
   EXPECT_EQ(r.cache->counters().misses, 8u);
   EXPECT_EQ(r.cache->counters().fill_reads, 1u);  // one contiguous run
 
@@ -121,7 +87,7 @@ TEST(CacheTarget, ReadThroughFillsAndServesRepeatsFromRam) {
   util::Bytes again(8 * kDefaultBlockSize);
   r.cache->read_blocks(0, 8, again);
   EXPECT_EQ(out, again);
-  EXPECT_EQ(r.rec->read_blocks(), 8u);
+  EXPECT_EQ(r.rec->blocks(IoOp::kRead), 8u);
   EXPECT_EQ(r.cache->counters().hits, 8u);
   for (std::uint64_t b = 0; b < 8; ++b) {
     EXPECT_EQ(again[b * kDefaultBlockSize], b + 1);
@@ -132,12 +98,12 @@ TEST(CacheTarget, PartialHitFetchesOnlyTheMissingRuns) {
   CacheRig r = make_rig(32, cache::WritePolicy::kWriteback);
   util::Bytes one(kDefaultBlockSize);
   r.cache->read_block(2, one);  // cache block 2
-  ASSERT_EQ(r.rec->read_blocks(), 1u);
+  ASSERT_EQ(r.rec->blocks(IoOp::kRead), 1u);
 
   // [0..5): misses {0,1} and {3,4} around the hit on 2 -> two fill runs.
   util::Bytes out(5 * kDefaultBlockSize);
   r.cache->read_blocks(0, 5, out);
-  EXPECT_EQ(r.rec->read_blocks(), 5u);  // 1 + 4 missing blocks
+  EXPECT_EQ(r.rec->blocks(IoOp::kRead), 5u);  // 1 + 4 missing blocks
   EXPECT_EQ(r.cache->counters().fill_reads, 3u);  // first + two runs
 }
 
@@ -149,18 +115,18 @@ TEST(CacheTarget, LruEvictionDropsTheColdestBlock) {
   r.cache->read_block(9, b);  // forces one eviction
   EXPECT_EQ(r.cache->counters().evictions, 1u);
 
-  const std::uint64_t before = r.rec->read_blocks();
+  const std::uint64_t before = r.rec->blocks(IoOp::kRead);
   r.cache->read_block(0, b);  // still cached
-  EXPECT_EQ(r.rec->read_blocks(), before);
+  EXPECT_EQ(r.rec->blocks(IoOp::kRead), before);
   r.cache->read_block(1, b);  // evicted: must re-fetch
-  EXPECT_EQ(r.rec->read_blocks(), before + 1);
+  EXPECT_EQ(r.rec->blocks(IoOp::kRead), before + 1);
 }
 
 TEST(CacheTarget, WritebackAbsorbsWritesUntilFlush) {
   CacheRig r = make_rig(32, cache::WritePolicy::kWriteback);
   r.cache->write_block(5, pattern_block(0xAA));
   r.cache->write_block(6, pattern_block(0xBB));
-  EXPECT_TRUE(r.rec->write_runs.empty());
+  EXPECT_TRUE(write_runs(*r.rec).empty());
   EXPECT_EQ(r.cache->dirty_blocks(), 2u);
 
   // Reads of dirty blocks hit the cache (no stale lower data).
@@ -171,8 +137,8 @@ TEST(CacheTarget, WritebackAbsorbsWritesUntilFlush) {
 
   r.cache->flush();
   EXPECT_EQ(r.cache->dirty_blocks(), 0u);
-  ASSERT_EQ(r.rec->write_runs.size(), 1u);  // 5 and 6 coalesced
-  EXPECT_EQ(r.rec->write_runs[0], std::make_pair(std::uint64_t{5},
+  ASSERT_EQ(write_runs(*r.rec).size(), 1u);  // 5 and 6 coalesced
+  EXPECT_EQ(write_runs(*r.rec)[0], std::make_pair(std::uint64_t{5},
                                                  std::uint64_t{2}));
   EXPECT_EQ(r.mem->raw()[5 * kDefaultBlockSize], 0xAA);
   EXPECT_EQ(r.mem->raw()[6 * kDefaultBlockSize], 0xBB);
@@ -201,7 +167,7 @@ TEST(CacheTarget, WritebackRunsMatchRunCoalescerOnTheFirstDirtyOrder) {
   }
   runs.flush();
 
-  EXPECT_EQ(r.rec->write_runs, expected);
+  EXPECT_EQ(write_runs(*r.rec), expected);
   EXPECT_EQ(r.cache->counters().writeback_runs, expected.size());
   // The rewrite's content (not its position) is what lands.
   EXPECT_EQ(r.mem->raw()[11 * kDefaultBlockSize], 0xEE);
@@ -212,13 +178,13 @@ TEST(CacheTarget, DirtyEvictionFlushesTheWholeSetInFirstDirtyOrder) {
   for (const std::uint64_t blk : {7, 3, 9, 1}) {
     r.cache->write_block(blk, pattern_block(static_cast<std::uint8_t>(blk)));
   }
-  ASSERT_TRUE(r.rec->write_runs.empty());
+  ASSERT_TRUE(write_runs(*r.rec).empty());
   // Fifth distinct block: LRU victim (7) is dirty, so the whole dirty set
   // flushes as one epoch — in first-dirty order, not LRU or address order.
   r.cache->write_block(2, pattern_block(2));
   const std::vector<std::pair<std::uint64_t, std::uint64_t>> expected = {
       {7, 1}, {3, 1}, {9, 1}, {1, 1}};
-  EXPECT_EQ(r.rec->write_runs, expected);
+  EXPECT_EQ(write_runs(*r.rec), expected);
   EXPECT_EQ(r.cache->counters().epochs, 1u);
   EXPECT_EQ(r.cache->dirty_blocks(), 1u);  // just the new block 2
 }
@@ -231,15 +197,56 @@ TEST(CacheTarget, WritethroughPreservesTheExactLowerWriteSequence) {
   r.cache->write_block(4, pattern_block(3));  // rewrite passes through too
   const std::vector<std::pair<std::uint64_t, std::uint64_t>> expected = {
       {4, 1}, {8, 2}, {4, 1}};
-  EXPECT_EQ(r.rec->write_runs, expected);
+  EXPECT_EQ(write_runs(*r.rec), expected);
   EXPECT_EQ(r.cache->dirty_blocks(), 0u);
 
   // And re-reads of written-then-read blocks still fill + hit.
   util::Bytes out(kDefaultBlockSize);
   r.cache->read_block(8, out);
-  const std::uint64_t fetched = r.rec->read_blocks();
+  const std::uint64_t fetched = r.rec->blocks(IoOp::kRead);
   r.cache->read_block(8, out);
-  EXPECT_EQ(r.rec->read_blocks(), fetched);
+  EXPECT_EQ(r.rec->blocks(IoOp::kRead), fetched);
+}
+
+TEST(CacheTarget, SubmittedReadOfResidentBlockStaysInRam) {
+  CacheRig r = make_rig(16, cache::WritePolicy::kWriteback);
+  util::Bytes out(kDefaultBlockSize);
+  r.cache->read_block(6, out);  // fill: the one lower read
+  ASSERT_EQ(r.rec->ops().size(), 1u);
+
+  blockdev::IoRequest req;
+  req.op = blockdev::IoOp::kRead;
+  req.first = 6;
+  req.count = 1;
+  util::Bytes got(kDefaultBlockSize, 0xEE);
+  req.read_buf = got;
+  r.cache->submit(req);
+  r.cache->drain();
+  EXPECT_EQ(got, out);
+  EXPECT_EQ(r.rec->ops().size(), 1u);  // the lower device saw nothing new
+  EXPECT_EQ(r.cache->counters().hits, 1u);
+}
+
+TEST(CacheTarget, SubmittedWritebackWriteReachesLowerOnlyAtFlush) {
+  CacheRig r = make_rig(16, cache::WritePolicy::kWriteback);
+  const util::Bytes two(2 * kDefaultBlockSize, 0x5A);
+  blockdev::IoRequest req;
+  req.op = blockdev::IoOp::kWrite;
+  req.first = 9;
+  req.count = 2;
+  req.write_buf = two;
+  r.cache->submit(req);
+  r.cache->poll_completions();
+  EXPECT_TRUE(r.rec->ops().empty());
+  EXPECT_EQ(r.cache->dirty_blocks(), 2u);
+  EXPECT_EQ(r.mem->raw()[9 * kDefaultBlockSize], 0);
+
+  r.cache->flush();
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> expected = {
+      {9, 2}};
+  EXPECT_EQ(write_runs(*r.rec), expected);
+  EXPECT_EQ(r.rec->commands(IoOp::kFlush), 1u);
+  EXPECT_EQ(r.mem->raw()[9 * kDefaultBlockSize], 0x5A);
 }
 
 TEST(CacheTarget, DrainFlushesDirtyBlocksThroughTheAsyncEngine) {

@@ -8,15 +8,17 @@
 #include <cstring>
 
 #include "blockdev/block_device.hpp"
-#include "blockdev/fault_device.hpp"
+#include "blockdev/fault_injector.hpp"
+#include "blockdev/recording_device.hpp"
 #include "core/mobiceal.hpp"
 #include "thin/thin_pool.hpp"
 #include "util/error.hpp"
 
 using namespace mobiceal;
-using blockdev::DeviceOp;
-using blockdev::FaultyDevice;
+using blockdev::FaultInjectedDevice;
+using blockdev::FaultInjector;
 using blockdev::InjectedFault;
+using blockdev::IoOp;
 using blockdev::MemBlockDevice;
 using blockdev::RecordingDevice;
 
@@ -27,6 +29,14 @@ util::Bytes pattern(std::size_t n, std::uint8_t seed) {
     out[i] = static_cast<std::uint8_t>(seed + i * 3);
   }
   return out;
+}
+
+// Wraps `raw` in a fault injector whose write budget starts disarmed; the
+// test arms it with injector->rearm_write_budget(n) just before the commit.
+std::shared_ptr<FaultInjectedDevice> budgeted(
+    std::shared_ptr<MemBlockDevice> raw) {
+  return std::make_shared<FaultInjectedDevice>(
+      std::move(raw), std::make_shared<FaultInjector>(blockdev::FaultPlan{}));
 }
 
 // Zeroes the alloc-shards field (offset 60, 12 bytes incl. checksum) in
@@ -60,22 +70,23 @@ TEST(CrashConsistency, CommitWritesSuperblockLast) {
   pool->commit();
   const auto& ops = rec->ops();
   ASSERT_FALSE(ops.empty());
-  // Find the last write: it must be block 0 (the superblock), and the only
-  // write to block 0 in the whole commit.
+  // Find the last write: it must be block 0 (the superblock) alone, and
+  // the only write to block 0 in the whole commit.
   std::size_t sb_writes = 0;
   std::size_t last_write_idx = 0;
   for (std::size_t i = 0; i < ops.size(); ++i) {
-    if (ops[i].kind == DeviceOp::Kind::kWrite) {
+    if (ops[i].op == IoOp::kWrite) {
       last_write_idx = i;
-      if (ops[i].block == 0) ++sb_writes;
+      if (ops[i].first == 0) ++sb_writes;
     }
   }
   EXPECT_EQ(sb_writes, 1u);
-  EXPECT_EQ(ops[last_write_idx].block, 0u);
+  EXPECT_EQ(ops[last_write_idx].first, 0u);
+  EXPECT_EQ(ops[last_write_idx].count, 1u);
   // And a barrier follows the superblock.
   bool flush_after = false;
   for (std::size_t i = last_write_idx + 1; i < ops.size(); ++i) {
-    if (ops[i].kind == DeviceOp::Kind::kFlush) flush_after = true;
+    if (ops[i].op == IoOp::kFlush) flush_after = true;
   }
   EXPECT_TRUE(flush_after);
 }
@@ -100,12 +111,13 @@ TEST(CrashConsistency, FaultDuringCommitPreservesOldState) {
   }
 
   // Re-open through a faulty wrapper and crash mid-commit.
-  auto faulty = std::make_shared<FaultyDevice>(raw, -1);
+  auto faulty = budgeted(raw);
   {
     auto pool = thin::ThinPool::open(faulty, data);
     auto vol = pool->open_thin(0);
     vol->write_block(8, pattern(4096, 9));   // second chunk, uncommitted
-    faulty->rearm(2);                        // fail on the 3rd metadata write
+    // Fail on the 3rd metadata write.
+    faulty->injector()->rearm_write_budget(2);
     EXPECT_THROW(pool->commit(), InjectedFault);
   }
 
@@ -140,14 +152,14 @@ TEST_P(CommitCrashSweep, EveryCrashPointRecoversAtomically) {
     vol->write_block(0, pattern(4096, 1));
     pool->commit();  // old state: 1 chunk
   }
-  auto faulty = std::make_shared<FaultyDevice>(raw, -1);
+  auto faulty = budgeted(raw);
   bool crashed = false;
   {
     auto pool = thin::ThinPool::open(faulty, data);
     auto vol = pool->open_thin(0);
     vol->write_block(8, pattern(4096, 2));
     vol->write_block(16, pattern(4096, 3));  // new state: 3 chunks
-    faulty->rearm(GetParam());
+    faulty->injector()->rearm_write_budget(GetParam());
     try {
       pool->commit();
     } catch (const InjectedFault&) {
@@ -193,7 +205,7 @@ TEST_P(ShardedCommitCrashSweep, FourShardRecoveryMatchesOneShardImage) {
       vol->write_block(0, pattern(4096, 1));
       pool->commit();  // old state: 1 chunk
     }
-    auto faulty = std::make_shared<FaultyDevice>(raw, -1);
+    auto faulty = budgeted(raw);
     {
       // Mid-transaction crash: two more chunks mapped but the commit dies
       // at the GetParam()-th metadata write.
@@ -201,7 +213,7 @@ TEST_P(ShardedCommitCrashSweep, FourShardRecoveryMatchesOneShardImage) {
       auto vol = pool->open_thin(0);
       vol->write_block(8, pattern(4096, 2));
       vol->write_block(16, pattern(4096, 3));
-      faulty->rearm(GetParam());
+      faulty->injector()->rearm_write_budget(GetParam());
       try {
         pool->commit();
       } catch (const InjectedFault&) {

@@ -1,11 +1,11 @@
 // blockdev::FaultInjector / FaultInjectedDevice — the programmable fault
-// policy the degraded-operation stack is built against: transient read
-// errors, latent bad sectors, whole-member drop, power-cut-at-Nth-flush —
-// on EVERY entry point (single-block, vectored, async submit). Plus the
-// satellite regression for the rewritten fault_device.hpp wrappers: the
-// recording and budget devices must intercept the vectored and submit
-// paths too (one vectored inner command, budgets spent per block), and
-// StripedTarget::flush must fail closed while still reaching every member.
+// policy the crash tests and the degraded-operation stack are built
+// against: write budgets, transient read errors, latent bad sectors,
+// whole-member drop, power-cut-at-Nth-flush — on EVERY entry point
+// (vectored, which carries the per-block calls, and async submit). Plus the
+// recorder regression: blockdev::RecordingDevice must see the vectored and
+// submit paths (one vectored inner command), and StripedTarget::flush must
+// fail closed while still reaching every member.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "blockdev/block_device.hpp"
-#include "blockdev/fault_device.hpp"
 #include "blockdev/fault_injector.hpp"
+#include "blockdev/recording_device.hpp"
 #include "blockdev/timed_device.hpp"
 #include "dm/striped_target.hpp"
 #include "util/bytes.hpp"
@@ -27,12 +27,14 @@ namespace {
 using blockdev::FaultInjectedDevice;
 using blockdev::FaultInjector;
 using blockdev::FaultPlan;
+using blockdev::InjectedFault;
 using blockdev::IoOp;
 using blockdev::IoRequest;
 using blockdev::MemBlockDevice;
 using blockdev::MemberDead;
 using blockdev::PowerCut;
 using blockdev::ReadFault;
+using blockdev::RecordingDevice;
 
 util::Bytes pattern(std::size_t n, std::uint8_t salt) {
   util::Bytes data(n);
@@ -41,59 +43,6 @@ util::Bytes pattern(std::size_t n, std::uint8_t salt) {
   }
   return data;
 }
-
-/// Wraps a MemBlockDevice and counts how many times each *hook* fires, so
-/// the tests can prove a vectored call stayed one vectored command on the
-/// inner device instead of decaying into a per-block loop.
-class CountingDevice final : public blockdev::BlockDevice {
- public:
-  explicit CountingDevice(std::shared_ptr<blockdev::BlockDevice> inner)
-      : inner_(std::move(inner)) {}
-
-  std::size_t block_size() const noexcept override {
-    return inner_->block_size();
-  }
-  std::uint64_t num_blocks() const noexcept override {
-    return inner_->num_blocks();
-  }
-  void read_block(std::uint64_t index, util::MutByteSpan out) override {
-    ++single_reads;
-    inner_->read_block(index, out);
-  }
-  void write_block(std::uint64_t index, util::ByteSpan data) override {
-    ++single_writes;
-    inner_->write_block(index, data);
-  }
-  void flush() override {
-    ++flushes;
-    inner_->flush();
-  }
-
-  int single_reads = 0;
-  int single_writes = 0;
-  int vectored_reads = 0;
-  int vectored_writes = 0;
-  int submits = 0;
-  int flushes = 0;
-
- protected:
-  void do_read_blocks(std::uint64_t first, std::uint64_t count,
-                      util::MutByteSpan out) override {
-    ++vectored_reads;
-    inner_->read_blocks(first, count, out);
-  }
-  void do_write_blocks(std::uint64_t first, util::ByteSpan data) override {
-    ++vectored_writes;
-    inner_->write_blocks(first, data);
-  }
-  std::uint64_t do_submit(const IoRequest& req) override {
-    ++submits;
-    return inner_->submit(req).complete_ns;
-  }
-
- private:
-  std::shared_ptr<blockdev::BlockDevice> inner_;
-};
 
 struct InjectedRig {
   std::shared_ptr<MemBlockDevice> mem;
@@ -312,55 +261,60 @@ TEST(FaultInjectorTest, DefaultPlanIsByteAndTimeTransparent) {
   EXPECT_EQ(clock_bare->now(), clock_inj->now());
 }
 
-// ---- fault_device.hpp wrappers: every entry point intercepted ---------------
+// ---- recorder and write budget: every entry point intercepted -------------
 
 TEST(FaultInjectorTest, RecordingDeviceCapturesVectoredAndSubmitPaths) {
-  auto counting =
-      std::make_shared<CountingDevice>(std::make_shared<MemBlockDevice>(32));
-  blockdev::RecordingDevice rec(counting);
+  // Two recorders stacked: the outer one's log is what callers issued, the
+  // inner one's is what reached the device below.
+  auto inner = std::make_shared<RecordingDevice>(
+      std::make_shared<MemBlockDevice>(32));
+  RecordingDevice rec(inner);
 
-  // One vectored write: recorded per block (the order invariants are
-  // block-granular) yet forwarded as ONE vectored inner command.
+  // One vectored write: one log entry, forwarded as ONE vectored command.
   rec.write_blocks(4, pattern(3 * rec.block_size(), 1));
-  ASSERT_EQ(rec.ops().size(), 3u);
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(rec.ops()[i].kind, blockdev::DeviceOp::Kind::kWrite);
-    EXPECT_EQ(rec.ops()[i].block, 4 + i);
-  }
-  EXPECT_EQ(counting->vectored_writes, 1);
-  EXPECT_EQ(counting->single_writes, 0);
+  ASSERT_EQ(rec.ops().size(), 1u);
+  EXPECT_EQ(rec.ops()[0].op, IoOp::kWrite);
+  EXPECT_EQ(rec.ops()[0].first, 4u);
+  EXPECT_EQ(rec.ops()[0].count, 3u);
+  EXPECT_EQ(inner->commands(IoOp::kWrite), 1u);
 
   util::Bytes buf(2 * rec.block_size());
   rec.read_blocks(4, 2, buf);
-  EXPECT_EQ(counting->vectored_reads, 1);
-  EXPECT_EQ(counting->single_reads, 0);
+  EXPECT_EQ(inner->commands(IoOp::kRead), 1u);
 
   // The async path: submissions are recorded and reach inner submit().
   rec.clear();
+  inner->clear();
+  const util::Bytes two = pattern(2 * rec.block_size(), 2);
   IoRequest w;
   w.op = IoOp::kWrite;
   w.first = 10;
   w.count = 2;
-  w.write_buf = pattern(2 * rec.block_size(), 2);
+  w.write_buf = two;
   rec.submit(w);
   IoRequest f;
   f.op = IoOp::kFlush;
   rec.submit(f);
-  ASSERT_EQ(rec.ops().size(), 3u);
-  EXPECT_EQ(rec.ops()[0].block, 10u);
-  EXPECT_EQ(rec.ops()[1].block, 11u);
-  EXPECT_EQ(rec.ops()[2].kind, blockdev::DeviceOp::Kind::kFlush);
-  EXPECT_EQ(counting->submits, 2);
+  ASSERT_EQ(rec.ops().size(), 2u);
+  EXPECT_EQ(rec.ops()[0].first, 10u);
+  EXPECT_EQ(rec.ops()[0].count, 2u);
+  EXPECT_TRUE(rec.ops()[0].submitted);
+  EXPECT_EQ(rec.ops()[1].op, IoOp::kFlush);
+  ASSERT_EQ(inner->ops().size(), 2u);
+  EXPECT_TRUE(inner->ops()[0].submitted);
+  EXPECT_TRUE(inner->ops()[1].submitted);
 }
 
 TEST(FaultInjectorTest, FaultyDeviceBudgetSpansVectoredWrites) {
   auto mem = std::make_shared<MemBlockDevice>(32);
-  blockdev::FaultyDevice faulty(mem, 2);
+  FaultPlan plan;
+  plan.write_budget_blocks = 2;
+  FaultInjectedDevice faulty(mem, std::make_shared<FaultInjector>(plan));
   const auto data = pattern(4 * faulty.block_size(), 3);
 
   // 4-block write against a 2-block budget: the surviving prefix lands
   // (the kernel may complete part of a vectored request), then the fault.
-  EXPECT_THROW(faulty.write_blocks(0, data), blockdev::InjectedFault);
+  EXPECT_THROW(faulty.write_blocks(0, data), InjectedFault);
   util::Bytes prefix(2 * faulty.block_size());
   mem->read_blocks(0, 2, prefix);
   EXPECT_EQ(prefix, util::Bytes(data.begin(),
@@ -369,14 +323,16 @@ TEST(FaultInjectorTest, FaultyDeviceBudgetSpansVectoredWrites) {
   mem->read_block(2, tail);
   EXPECT_EQ(tail, util::Bytes(faulty.block_size(), 0));  // never written
 
-  // One crash per arming: the device is disarmed afterwards.
-  EXPECT_LT(faulty.budget(), 0);
+  // One crash per arming: the budget is disarmed afterwards.
+  EXPECT_LT(faulty.injector()->write_budget(), 0);
   EXPECT_NO_THROW(faulty.write_blocks(8, data));
 }
 
 TEST(FaultInjectorTest, FaultyDeviceBudgetSpansSubmittedWrites) {
   auto mem = std::make_shared<MemBlockDevice>(32);
-  blockdev::FaultyDevice faulty(mem, 1);
+  FaultPlan plan;
+  plan.write_budget_blocks = 1;
+  FaultInjectedDevice faulty(mem, std::make_shared<FaultInjector>(plan));
   const auto data = pattern(3 * faulty.block_size(), 4);
 
   IoRequest w;
@@ -384,7 +340,7 @@ TEST(FaultInjectorTest, FaultyDeviceBudgetSpansSubmittedWrites) {
   w.first = 5;
   w.count = 3;
   w.write_buf = data;
-  EXPECT_THROW(faulty.submit(w), blockdev::InjectedFault);
+  EXPECT_THROW(faulty.submit(w), InjectedFault);
   util::Bytes got(faulty.block_size());
   mem->read_block(5, got);
   EXPECT_EQ(got, util::Bytes(data.begin(),
@@ -403,10 +359,10 @@ TEST(FaultInjectorTest, StripedFlushFailsClosedYetReachesEveryMember) {
   cut.power_cut_at_flush = 1;
   auto mem0 = std::make_shared<MemBlockDevice>(64);
   auto mem1 = std::make_shared<MemBlockDevice>(64);
-  auto rec0 = std::make_shared<blockdev::RecordingDevice>(
+  auto rec0 = std::make_shared<RecordingDevice>(
       std::make_shared<FaultInjectedDevice>(
           mem0, std::make_shared<FaultInjector>(cut)));
-  auto rec1 = std::make_shared<blockdev::RecordingDevice>(mem1);
+  auto rec1 = std::make_shared<RecordingDevice>(mem1);
   dm::StripedTarget striped({rec0, rec1}, /*chunk_blocks=*/4);
 
   striped.write_blocks(0, pattern(8 * striped.block_size(), 5));
@@ -414,17 +370,10 @@ TEST(FaultInjectorTest, StripedFlushFailsClosedYetReachesEveryMember) {
   rec1->clear();
   EXPECT_THROW(striped.flush(), PowerCut);
 
-  auto flushes = [](const blockdev::RecordingDevice& rec) {
-    int n = 0;
-    for (const auto& op : rec.ops()) {
-      if (op.kind == blockdev::DeviceOp::Kind::kFlush) ++n;
-    }
-    return n;
-  };
   // The failing member was attempted AND the healthy member still got its
   // barrier before the error surfaced.
-  EXPECT_EQ(flushes(*rec0), 1);
-  EXPECT_EQ(flushes(*rec1), 1);
+  EXPECT_EQ(rec0->commands(IoOp::kFlush), 1u);
+  EXPECT_EQ(rec1->commands(IoOp::kFlush), 1u);
 }
 
 }  // namespace

@@ -34,6 +34,10 @@ struct FsMaker {
       std::shared_ptr<blockdev::BlockDevice>);
 };
 
+// Print the parameter by name: the default byte dump shows the pointers,
+// which differ on every run and would make the listed test names unstable.
+void PrintTo(const FsMaker& maker, std::ostream* os) { *os << maker.name; }
+
 std::unique_ptr<fs::FileSystem> make_ext(
     std::shared_ptr<blockdev::BlockDevice> dev) {
   return fs::ExtFs::format(std::move(dev), 512);

@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "blockdev/block_device.hpp"
-#include "blockdev/fault_device.hpp"
 #include "blockdev/fault_injector.hpp"
+#include "blockdev/recording_device.hpp"
 #include "core/mobiceal.hpp"
 #include "dm/mirror_target.hpp"
 #include "thin/thin_pool.hpp"
@@ -49,14 +49,6 @@ util::Bytes block_content(std::uint64_t block, std::size_t bs) {
   return pattern(bs, static_cast<std::uint8_t>(block * 31 + 7));
 }
 
-int count_kind(const RecordingDevice& rec, blockdev::DeviceOp::Kind kind) {
-  int n = 0;
-  for (const auto& op : rec.ops()) {
-    if (op.kind == kind) ++n;
-  }
-  return n;
-}
-
 // ---- healthy-array service --------------------------------------------------
 
 TEST(MirrorTest, WritesFanOutAndReadsRoundRobin) {
@@ -70,15 +62,15 @@ TEST(MirrorTest, WritesFanOutAndReadsRoundRobin) {
   mirror.write_blocks(8, data);
   // Every member carries every write (that is the redundancy).
   EXPECT_EQ(mem0->snapshot(), mem1->snapshot());
-  EXPECT_EQ(count_kind(*rec0, blockdev::DeviceOp::Kind::kWrite), 4);
-  EXPECT_EQ(count_kind(*rec1, blockdev::DeviceOp::Kind::kWrite), 4);
+  EXPECT_EQ(rec0->blocks(blockdev::IoOp::kWrite), 4u);
+  EXPECT_EQ(rec1->blocks(blockdev::IoOp::kWrite), 4u);
 
   // Reads round-robin across in-sync members: two reads, one per leg.
   util::Bytes buf(mirror.block_size());
   mirror.read_block(8, buf);
   mirror.read_block(8, buf);
-  EXPECT_EQ(count_kind(*rec0, blockdev::DeviceOp::Kind::kRead), 1);
-  EXPECT_EQ(count_kind(*rec1, blockdev::DeviceOp::Kind::kRead), 1);
+  EXPECT_EQ(rec0->blocks(blockdev::IoOp::kRead), 1u);
+  EXPECT_EQ(rec1->blocks(blockdev::IoOp::kRead), 1u);
   EXPECT_EQ(buf, util::Bytes(data.begin(),
                              data.begin() + mirror.block_size()));
 }
@@ -304,13 +296,13 @@ TEST(RebuildTest, SpareIsNeverReadBeforePromotion) {
   // is torn by definition until the copy completes).
   util::Bytes buf(rig.mirror->block_size());
   for (std::uint64_t b = 0; b < 256; b += 8) rig.mirror->read_block(b, buf);
-  EXPECT_EQ(count_kind(*spare_rec, blockdev::DeviceOp::Kind::kRead), 0);
+  EXPECT_EQ(spare_rec->blocks(blockdev::IoOp::kRead), 0u);
 
   while (rig.mirror->rebuilding()) rig.mirror->rebuild_step(64);
   // After promotion the spare joins the round-robin read set.
   rig.mirror->read_block(0, buf);
   rig.mirror->read_block(0, buf);
-  EXPECT_GT(count_kind(*spare_rec, blockdev::DeviceOp::Kind::kRead), 0);
+  EXPECT_GT(spare_rec->blocks(blockdev::IoOp::kRead), 0u);
 }
 
 TEST(RebuildTest, SpareWriteFailureAbortsTheRebuild) {
