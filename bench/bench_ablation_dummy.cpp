@@ -6,7 +6,7 @@
 //     stay under the adversary's dummy-budget threshold.
 //
 // This quantifies the trade-off the paper fixes by choosing x = 50 and the
-// paper-example lambda = 1.0 (see EXPERIMENTS.md).
+// paper-example lambda = 1.0.
 #include <cstdio>
 
 #include "adversary/attacks.hpp"

@@ -26,8 +26,8 @@
 //   * FTL-on / FTL-off logical parity;
 //   * GC actually exercised (relocations > 0, erases > 0) and the device
 //     stays writable (free pages never exhausted);
-//   * at >= 8 trials: mobipluto and mobiflage breached (adv >= 0.3),
-//     mobiceal holding (max adv <= 0.2).
+//   * from adversary::kMinArmedTrials trials: mobipluto and mobiflage
+//     breached (adv >= 0.3), mobiceal holding (max adv <= 0.2).
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -189,26 +189,25 @@ int main(int argc, char** argv) {
   double mobiceal_adv = 1.0, pluto_adv = 0.0, flage_adv = 0.0;
   for (const char* scheme : {"mobiceal", "mobipluto", "mobiflage"}) {
     gc.scheme = scheme;
-    const adversary::FtlGameResult gr = adversary::run_ftl_game(gc);
-    std::printf("%-10s (WA %.2f, nonpublic fresh: hidden %.1f / cover "
-                "%.1f)\n", scheme, gr.write_amplification.mean(),
-                gr.nonpublic_fresh_hidden_world.mean(),
-                gr.nonpublic_fresh_cover_world.mean());
-    double max_adv = 0.0, tail_adv = 0.0, unacc_adv = 0.0;
+    const adversary::GameResult gr = adversary::run_ftl_game(gc);
+    std::printf("%-10s (fresh non-public chunks: hidden %.1f / cover "
+                "%.1f)\n", scheme,
+                gr.statistic("ftl-unaccounted-programs", true).mean(),
+                gr.statistic("ftl-unaccounted-programs", false).mean());
     for (const auto& d : gr.distinguishers) {
       std::printf("  %-28s correct %2llu/%2llu   advantage %.3f\n",
                   d.name.c_str(),
                   static_cast<unsigned long long>(d.correct),
                   static_cast<unsigned long long>(d.trials), d.advantage());
       json.add(std::string(scheme) + "." + d.name + "_adv", d.advantage());
-      if (d.trials > 0) max_adv = std::max(max_adv, d.advantage());
-      if (d.name == "ftl-tail-locality") tail_adv = d.advantage();
-      if (d.name == "ftl-unaccounted-programs") unacc_adv = d.advantage();
     }
+    const double max_adv = gr.max_advantage();
     json.add(std::string(scheme) + ".ftl_game_adv", max_adv);
     if (gc.scheme == "mobiceal") mobiceal_adv = max_adv;
-    if (gc.scheme == "mobipluto") pluto_adv = unacc_adv;
-    if (gc.scheme == "mobiflage") flage_adv = tail_adv;
+    if (gc.scheme == "mobipluto")
+      pluto_adv = gr.distinguisher("ftl-unaccounted-programs").advantage();
+    if (gc.scheme == "mobiflage")
+      flage_adv = gr.distinguisher("ftl-tail-locality").advantage();
   }
   // Expected-breach canaries, inverted: 0 while the published attack keeps
   // working against the scheme it breaks; 1 (gate failure) if it silently
@@ -222,17 +221,17 @@ int main(int argc, char** argv) {
   std::printf("\n-- shape checks --\n");
   bool ok = parity && gc_live;
   // A handful of trials can't separate advantage 0 from 0.5, so the
-  // statistical gates only arm at the default trial count (same convention
-  // as bench_degraded) — smoke runs still exercise everything.
-  const bool armed = gc.trials >= 8;
+  // statistical gates only arm from adversary::kMinArmedTrials (same
+  // convention as every game bench) — smoke runs still exercise everything.
+  const bool armed = gc.trials >= adversary::kMinArmedTrials;
+  const char* unarmed = armed ? "" : " [ungated: too few trials]";
   const bool g_breach = !armed || (pluto_adv >= 0.3 && flage_adv >= 0.3);
   const bool g_hold = !armed || mobiceal_adv <= 0.2;
   std::printf("mobipluto/mobiflage breached (adv >= 0.3): %s (%.3f / "
               "%.3f)%s\n", g_breach ? "yes" : "NO", pluto_adv, flage_adv,
-              armed ? "" : " [ungated: < 8 trials]");
+              unarmed);
   std::printf("mobiceal holds (max adv <= 0.2):           %s (%.3f)%s\n",
-              g_hold ? "yes" : "NO", mobiceal_adv,
-              armed ? "" : " [ungated: < 8 trials]");
+              g_hold ? "yes" : "NO", mobiceal_adv, unarmed);
   ok = ok && g_breach && g_hold;
   return ok ? 0 : 1;
 }

@@ -60,7 +60,7 @@ AttackReport dummy_budget_attack(const ThinMetadataReader& before,
 /// Attack D — mean-rate threshold (an empirical distinguisher stronger than
 /// the paper's formal adversary): guesses hidden data iff non-public growth
 /// exceeds the *expected* (not maximal) dummy rate. Reported alongside the
-/// others to quantify the real-world margin; see EXPERIMENTS.md.
+/// others to quantify the real-world margin; see docs/ADVERSARY.md, Game 1.
 AttackReport mean_rate_attack(const ThinMetadataReader& before,
                               const ThinMetadataReader& after, double lambda,
                               std::uint32_t x);

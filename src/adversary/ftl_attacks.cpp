@@ -4,10 +4,6 @@
 #include <cmath>
 #include <set>
 
-#include "api/scheme_registry.hpp"
-#include "util/error.hpp"
-#include "util/rng.hpp"
-
 namespace mobiceal::adversary {
 
 namespace {
@@ -158,180 +154,74 @@ AttackReport ftl_tail_locality_attack(const FlashDelta& delta,
 
 namespace {
 
-constexpr char kPub[] = "ftl-game-public-pw";
-constexpr char kHid[] = "ftl-game-hidden-pw";
-
-util::Bytes random_payload(util::Rng& rng, std::size_t n) {
-  util::Bytes out(n);
-  rng.fill(out);
-  return out;
-}
-
-struct FtlTrialTrace {
-  std::vector<ftl::RawFlashSnapshot> snaps;  // [0] = baseline
-  double write_amplification = 0.0;
+/// What the adversary extracts from the chips it seized before and after
+/// the observation window.
+struct FlashWindow {
+  /// Everything programmed after the baseline seizure, GC copies
+  /// content-matched away.
+  FlashDelta delta;
+  /// The logical image reconstructed from the last seizure.
+  Snapshot logical;
 };
 
-FtlTrialTrace run_ftl_trial(const FtlGameConfig& cfg, bool hidden_world,
-                            std::uint64_t trial_seed, util::Rng& rng) {
-  // The stack is built exactly as in the block-level game, except the
-  // device it defends is an FTL export — the adversary images the medium
-  // *below* it.
-  auto clock = std::make_shared<util::SimClock>();
-  ftl::FtlConfig fcfg;
-  fcfg.logical_blocks = cfg.disk_blocks;
-  fcfg.pages_per_block = cfg.ftl_pages_per_block;
-  fcfg.over_provision_pct = cfg.ftl_over_provision_pct;
-  auto flash = ftl::FtlDevice::create(fcfg, clock);
-
-  api::SchemeOptions opts;
-  opts.device = flash;
-  opts.clock = clock;
-  opts.public_password = kPub;
-  opts.hidden_passwords = {kHid};
-  opts.num_volumes = cfg.num_volumes;
-  opts.chunk_blocks = cfg.chunk_blocks;
-  opts.kdf_iterations = 16;
-  opts.fs_inode_count = 256;
-  opts.zero_cpu_models = true;
-  opts.rng_seed = trial_seed;
-  opts.lambda = cfg.lambda;
-  opts.x = cfg.x;
-  auto dev = api::SchemeRegistry::create(cfg.scheme, opts);
-  if (!dev->capabilities().has(api::Capability::kHiddenVolume)) {
-    throw util::PolicyError("ftl game: scheme '" + cfg.scheme +
-                            "' has no hidden volume to hide data in");
-  }
-  const bool fast_switch =
-      dev->capabilities().has(api::Capability::kFastSwitch);
-
-  auto must_unlock = [&](const char* pwd, api::VolumeClass want) {
-    const auto r = dev->unlock(pwd);
-    if (!r.ok || r.volume != want) {
-      throw util::PolicyError(
-          "ftl game: unlock did not reach the " +
-          std::string(want == api::VolumeClass::kHidden ? "hidden"
-                                                        : "public") +
-          " volume on '" + cfg.scheme + "'");
-    }
-  };
-  auto boot_public = [&] { must_unlock(kPub, api::VolumeClass::kPublic); };
-  auto write_file = [&](const std::string& path, std::size_t n) {
-    dev->data_fs().write_file(path, random_payload(rng, n));
-    dev->data_fs().sync();
-  };
-  auto store_hidden = [&](const std::string& path, std::size_t n) {
-    if (fast_switch) {
-      if (!dev->switch_volume(kHid)) {
-        throw util::PolicyError("ftl game: fast switch failed on '" +
-                                cfg.scheme + "'");
-      }
-    } else {
-      dev->reboot();
-      must_unlock(kHid, api::VolumeClass::kHidden);
-    }
-    dev->data_fs().write_file(path, random_payload(rng, n));
-    dev->data_fs().sync();
-    dev->reboot();
-    boot_public();
-  };
-
-  FtlTrialTrace trace;
-  boot_public();
-  write_file("/base0", cfg.public_file_bytes);
-  write_file("/base1", cfg.public_file_bytes / 2);
-  dev->reboot();
-  trace.snaps.push_back(flash->snapshot_raw_flash());
-
-  int file_id = 0;
-  for (std::uint32_t round = 0; round < cfg.rounds; ++round) {
-    boot_public();
-    for (std::uint32_t f = 0; f < cfg.public_files_per_round; ++f) {
-      const std::size_t jitter =
-          cfg.public_file_bytes / 2 + rng.next_below(cfg.public_file_bytes);
-      write_file("/pub" + std::to_string(file_id++), jitter);
-    }
-    if (hidden_world) {
-      store_hidden("/sensitive" + std::to_string(round),
-                   cfg.hidden_file_bytes);
-      if (cfg.equal_size_discipline)
-        write_file("/cover" + std::to_string(round), cfg.hidden_file_bytes);
-    } else {
-      write_file("/extra" + std::to_string(round), cfg.hidden_file_bytes);
-      if (cfg.equal_size_discipline)
-        write_file("/cover" + std::to_string(round), cfg.hidden_file_bytes);
-    }
-    dev->reboot();
-    trace.snaps.push_back(flash->snapshot_raw_flash());
-  }
-  trace.write_amplification = flash->stats().write_amplification();
-  return trace;
-}
+/// Thin metadata and pool layout parsed out of the logical image; throws
+/// util::MetadataError on schemes without a thin pool.
+struct ParsedPool {
+  ThinMetadataReader meta;
+  PoolLayout layout;
+  ParsedPool(const FlashWindow& w, const std::string& scheme)
+      : meta(w.logical),
+        layout(scheme == "mobipluto"
+                   ? PoolLayout::mobipluto(meta.superblock(),
+                                           w.logical.block_size)
+                   : PoolLayout::mobiceal(meta.superblock(),
+                                          w.logical.block_size)) {}
+};
 
 }  // namespace
 
-FtlGameResult run_ftl_game(const FtlGameConfig& cfg) {
-  FtlGameResult result;
-  DistinguisherResult unaccounted{"ftl-unaccounted-programs", 0, 0};
-  DistinguisherResult budget{"ftl-program-budget", 0, 0};
-  DistinguisherResult tail{"ftl-tail-locality", 0, 0};
-
-  util::Xoshiro256 master(cfg.seed);
-  for (std::uint64_t trial = 0; trial < cfg.trials; ++trial) {
-    const bool hidden_world = master.next_below(2) == 0;
-    const std::uint64_t trial_seed = master.next_u64();
-    util::Xoshiro256 rng(master.next_u64());
-
-    const FtlTrialTrace trace =
-        run_ftl_trial(cfg, hidden_world, trial_seed, rng);
-    result.write_amplification.add(trace.write_amplification);
-
-    // The whole observation window: everything programmed after the
-    // baseline seizure, with GC copies content-matched away.
-    const FlashDelta delta =
-        compute_flash_delta(trace.snaps.front(), trace.snaps.back());
-
-    // Thin-pool distinguishers need the metadata parsed out of the
-    // reconstructed logical image; schemes without a thin pool
-    // (mobiflage) are judged by tail locality alone.
-    bool thin_ok = true;
-    try {
-      const Snapshot logical{trace.snaps.back().logical_image(),
-                             trace.snaps.back().geometry.block_size};
-      const ThinMetadataReader meta(logical);
-      const PoolLayout layout =
-          cfg.scheme == "mobipluto"
-              ? PoolLayout::mobipluto(meta.superblock(), logical.block_size)
-              : PoolLayout::mobiceal(meta.superblock(), logical.block_size);
-      {
-        const AttackReport rep =
-            ftl_unaccounted_programs_attack(delta, meta, layout);
-        ++unaccounted.trials;
-        if (rep.suspects_hidden_data == hidden_world) ++unaccounted.correct;
-        auto& stats = hidden_world ? result.nonpublic_fresh_hidden_world
-                                   : result.nonpublic_fresh_cover_world;
-        stats.add(rep.statistic);
-      }
-      {
-        const AttackReport rep =
-            ftl_program_budget_attack(delta, meta, layout, cfg.lambda);
-        ++budget.trials;
-        if (rep.suspects_hidden_data == hidden_world) ++budget.correct;
-      }
-    } catch (const util::MetadataError&) {
-      thin_ok = false;
-    }
-    (void)thin_ok;
-    {
-      const AttackReport rep = ftl_tail_locality_attack(
-          delta, cfg.disk_blocks, cfg.tail_fraction);
-      ++tail.trials;
-      if (rep.suspects_hidden_data == hidden_world) ++tail.correct;
-    }
-  }
-
-  result.distinguishers = {unaccounted, budget, tail};
-  return result;
+GameResult run_ftl_game(const FtlGameConfig& cfg) {
+  Game<FlashWindow> game;
+  game.world = [&cfg](bool hidden_world, std::uint64_t trial_seed,
+                      util::Rng& rng) {
+    // The stack is built exactly as in the block-level game, except the
+    // device it defends is an FTL export — the adversary images the medium
+    // *below* it.
+    auto clock = std::make_shared<util::SimClock>();
+    ftl::FtlConfig fcfg;
+    fcfg.logical_blocks = cfg.disk_blocks;
+    fcfg.pages_per_block = cfg.ftl_pages_per_block;
+    fcfg.over_provision_pct = cfg.ftl_over_provision_pct;
+    auto flash = ftl::FtlDevice::create(fcfg, clock);
+    GameUser user(cfg, flash, trial_seed, rng, clock, "ftl-game");
+    user.baseline();
+    const ftl::RawFlashSnapshot first = flash->snapshot_raw_flash();
+    user.rounds(hidden_world);
+    const ftl::RawFlashSnapshot last = flash->snapshot_raw_flash();
+    return FlashWindow{compute_flash_delta(first, last),
+                       Snapshot{last.logical_image(),
+                                last.geometry.block_size}};
+  };
+  game.distinguishers = {
+      {"ftl-unaccounted-programs",
+       [&cfg](const FlashWindow& w) {
+         const ParsedPool pool(w, cfg.scheme);
+         return ftl_unaccounted_programs_attack(w.delta, pool.meta,
+                                                pool.layout);
+       }},
+      {"ftl-program-budget",
+       [&cfg](const FlashWindow& w) {
+         const ParsedPool pool(w, cfg.scheme);
+         return ftl_program_budget_attack(w.delta, pool.meta, pool.layout,
+                                          cfg.lambda);
+       }},
+      {"ftl-tail-locality",
+       [&cfg](const FlashWindow& w) {
+         return ftl_tail_locality_attack(w.delta, cfg.disk_blocks,
+                                         cfg.tail_fraction);
+       }},
+  };
+  return game.play(cfg.trials, cfg.seed);
 }
 
 }  // namespace mobiceal::adversary

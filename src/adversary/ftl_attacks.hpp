@@ -35,10 +35,9 @@
 #include <vector>
 
 #include "adversary/attacks.hpp"
+#include "adversary/game.hpp"
 #include "adversary/metadata_reader.hpp"
-#include "adversary/security_game.hpp"
 #include "ftl/ftl_device.hpp"
-#include "util/stats.hpp"
 
 namespace mobiceal::adversary {
 
@@ -91,39 +90,24 @@ AttackReport ftl_tail_locality_attack(const FlashDelta& delta,
 
 /// The multi-seizure game of security_game.hpp, replayed with the stack on
 /// an ftl::FtlDevice and the adversary holding raw-flash snapshots.
-struct FtlGameConfig {
-  std::string scheme = "mobiceal";
-  std::uint64_t trials = 16;
-  std::uint32_t rounds = 2;
-  std::uint32_t public_files_per_round = 8;
-  std::uint32_t public_file_bytes = 64 * 1024;
-  std::uint32_t hidden_file_bytes = 48 * 1024;
-  bool equal_size_discipline = true;
-  /// Logical capacity the FTL exports to the stack (pages = 4 KiB blocks).
-  std::uint64_t disk_blocks = 8192;
-  std::uint32_t num_volumes = 4;
-  std::uint32_t chunk_blocks = 4;
-  double lambda = 1.0;
-  std::uint32_t x = 50;
+struct FtlGameConfig : GameConfig {
+  FtlGameConfig() {
+    trials = 16;
+    rounds = 2;
+    public_files_per_round = 8;
+    public_file_bytes = 64 * 1024;
+    hidden_file_bytes = 48 * 1024;
+    disk_blocks = 8192;  // logical pages the FTL exports (4 KiB each)
+    num_volumes = 4;
+  }
   std::uint32_t ftl_pages_per_block = 32;
   std::uint32_t ftl_over_provision_pct = 10;
   double tail_fraction = 0.70;
-  std::uint64_t seed = 1;
 };
 
-struct FtlGameResult {
-  std::vector<DistinguisherResult> distinguishers;
-  /// Fresh host programs into non-public chunks per trial, split by world
-  /// (thin-pool schemes only).
-  util::RunningStats nonpublic_fresh_hidden_world;
-  util::RunningStats nonpublic_fresh_cover_world;
-  /// FTL write amplification observed across trials.
-  util::RunningStats write_amplification;
-};
-
-/// Runs the raw-flash game. Deterministic per (config.seed). Schemes
-/// without a thin pool (mobiflage) skip the metadata-based distinguishers
-/// (their `trials` stay 0) and are judged by tail locality alone.
-FtlGameResult run_ftl_game(const FtlGameConfig& config);
+/// Runs the raw-flash game. Deterministic per (config.seed). On schemes
+/// without a thin pool (mobiflage) the metadata-based distinguishers never
+/// apply (0/0) and tail locality alone judges.
+GameResult run_ftl_game(const FtlGameConfig& config);
 
 }  // namespace mobiceal::adversary

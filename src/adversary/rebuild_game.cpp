@@ -1,35 +1,20 @@
 #include "adversary/rebuild_game.hpp"
 
-#include <algorithm>
 #include <memory>
-#include <utility>
 
-#include "adversary/attacks.hpp"
-#include "api/scheme_registry.hpp"
 #include "blockdev/block_device.hpp"
 #include "blockdev/fault_injector.hpp"
 #include "dm/mirror_target.hpp"
-#include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace mobiceal::adversary {
 
 namespace {
 
-constexpr char kPub[] = "game-public-pw";
-constexpr char kHid[] = "game-hidden-pw";
-
-util::Bytes random_payload(util::Rng& rng, std::size_t n) {
-  util::Bytes out(n);
-  rng.fill(out);
-  return out;
-}
-
 /// What the adversary holds after one trial: the pre-degradation border
 /// snapshot and the spare seized mid-rebuild. The seized image is genuine
 /// only in [0, watermark * block_size); the tail is the spare's virgin
 /// zeros — the adversary holds nothing there.
-struct TrialObs {
+struct SeizedSpare {
   Snapshot s0;
   Snapshot seized;
   std::uint64_t watermark = 0;
@@ -37,11 +22,10 @@ struct TrialObs {
   /// S0 -> seizure window — public files, the hidden-or-equivalent store,
   /// and the cover file. Equal across worlds by construction.
   std::uint64_t window_payload_bytes = 0;
-  std::uint32_t rebuilds_completed = 0;
 };
 
-TrialObs run_trial(const RebuildGameConfig& cfg, bool hidden_world,
-                   std::uint64_t trial_seed, util::Rng& rng) {
+SeizedSpare play_world(const RebuildGameConfig& cfg, bool hidden_world,
+                       std::uint64_t trial_seed, util::Rng& rng) {
   // 2-way mirror: leg 0 is the canonical image the border snapshots read;
   // leg 1 sits behind a FaultInjector so the degradation goes through the
   // real fault-discovery path (drop_now -> MemberDead -> member kicked).
@@ -53,90 +37,19 @@ TrialObs run_trial(const RebuildGameConfig& cfg, bool hidden_world,
       std::vector<std::shared_ptr<blockdev::BlockDevice>>{
           leg0, std::make_shared<blockdev::FaultInjectedDevice>(leg1,
                                                                 injector)});
-
-  api::SchemeOptions opts;
-  opts.device = mirror;
-  opts.public_password = kPub;
-  opts.hidden_passwords = {kHid};
-  opts.num_volumes = cfg.num_volumes;
-  opts.chunk_blocks = cfg.chunk_blocks;
-  opts.kdf_iterations = 16;
-  opts.fs_inode_count = 256;
-  opts.zero_cpu_models = true;
-  opts.rng_seed = trial_seed;
-  opts.lambda = cfg.lambda;
-  opts.x = cfg.x;
-  auto dev = api::SchemeRegistry::create(cfg.scheme, opts);
-  if (!dev->capabilities().has(api::Capability::kHiddenVolume)) {
-    throw util::PolicyError("rebuild game: scheme '" + cfg.scheme +
-                            "' has no hidden volume to hide data in");
-  }
-  const bool fast_switch =
-      dev->capabilities().has(api::Capability::kFastSwitch);
-
-  auto must_unlock = [&](const char* pwd, api::VolumeClass want) {
-    const auto r = dev->unlock(pwd);
-    if (!r.ok || r.volume != want) {
-      throw util::PolicyError("rebuild game: unlock did not reach the " +
-                              std::string(want == api::VolumeClass::kHidden
-                                              ? "hidden"
-                                              : "public") +
-                              " volume on '" + cfg.scheme + "'");
-    }
-  };
-  auto boot_public = [&] { must_unlock(kPub, api::VolumeClass::kPublic); };
-
-  TrialObs obs;
-  bool counting = false;  // payload accounting inside the S0 -> seizure window
-  auto write_file = [&](const std::string& path, std::size_t n) {
-    dev->data_fs().write_file(path, random_payload(rng, n));
-    dev->data_fs().sync();
-    if (counting) obs.window_payload_bytes += n;
-  };
-  auto store_hidden = [&](const std::string& path, std::size_t n) {
-    if (fast_switch) {
-      if (!dev->switch_volume(kHid)) {
-        throw util::PolicyError("rebuild game: fast switch failed on '" +
-                                cfg.scheme + "'");
-      }
-    } else {
-      dev->reboot();
-      must_unlock(kHid, api::VolumeClass::kHidden);
-    }
-    dev->data_fs().write_file(path, random_payload(rng, n));
-    dev->data_fs().sync();
-    dev->reboot();
-    boot_public();
-    if (counting) obs.window_payload_bytes += n;
-  };
+  GameUser user(cfg, mirror, trial_seed, rng);
 
   // Baseline public use on the healthy array, then border snapshot S0.
-  boot_public();
-  write_file("/base0", cfg.public_file_bytes);
-  write_file("/base1", cfg.public_file_bytes / 2);
-  dev->reboot();
+  user.baseline();
+  SeizedSpare obs;
   obs.s0 = Snapshot::take(*leg0);
 
   // Leg 1 dies; the mirror discovers it on the next I/O and degrades.
   injector->drop_now();
 
   // The observation window: public use plus the world-dependent store.
-  counting = true;
-  boot_public();
-  int file_id = 0;
-  for (std::uint32_t f = 0; f < cfg.public_files; ++f) {
-    const std::size_t jitter =
-        cfg.public_file_bytes / 2 + rng.next_below(cfg.public_file_bytes);
-    write_file("/pub" + std::to_string(file_id++), jitter);
-  }
-  if (hidden_world) {
-    store_hidden("/sensitive", cfg.hidden_file_bytes);
-  } else {
-    write_file("/extra", cfg.hidden_file_bytes);
-  }
-  if (cfg.equal_size_discipline) {
-    write_file("/cover", cfg.hidden_file_bytes);
-  }
+  const std::uint64_t window_start = user.bytes_written();
+  user.round(hidden_world, "");
 
   // Online rebuild onto a spare, foreground I/O continuing between copy
   // steps, until the watermark crosses the seizure point.
@@ -148,11 +61,11 @@ TrialObs run_trial(const RebuildGameConfig& cfg, bool hidden_world,
   while (mirror->rebuilding() && mirror->rebuild_watermark() < seize_at) {
     mirror->rebuild_step(cfg.rebuild_step_blocks);
     if (++step % 4 == 0) {
-      write_file("/fg" + std::to_string(file_id++),
-                 cfg.public_file_bytes / 4);
+      user.write_file("/fg" + std::to_string(user.next_file_id()),
+                      cfg.public_file_bytes / 4);
     }
   }
-  counting = false;
+  obs.window_payload_bytes = user.bytes_written() - window_start;
 
   // Seizure: the adversary images the half-rebuilt spare. Everything past
   // the watermark is the spare's virgin zeros; [0, watermark) is the
@@ -163,16 +76,19 @@ TrialObs run_trial(const RebuildGameConfig& cfg, bool hidden_world,
 
   // Life goes on: more public use, and the rebuild runs to completion
   // (promotion makes the spare a full member).
-  write_file("/post0", cfg.public_file_bytes);
+  user.write_file("/post0", cfg.public_file_bytes);
   while (mirror->rebuilding()) {
     mirror->rebuild_step(cfg.rebuild_step_blocks);
   }
-  obs.rebuilds_completed = mirror->rebuilds_completed();
-  write_file("/post1", cfg.public_file_bytes / 2);
-  dev->reboot();
+  user.write_file("/post1", cfg.public_file_bytes / 2);
+  user.reboot();
 
-  // Invariant, not a distinguisher: after promotion and quiesce the
-  // rebuilt member must be bit-identical to the canonical leg.
+  // Invariants, not distinguishers: the rebuild completed, and after
+  // promotion and quiesce the rebuilt member is bit-identical to the
+  // canonical leg.
+  if (mirror->rebuilds_completed() != 1) {
+    throw util::PolicyError("rebuild game: the rebuild did not complete");
+  }
   if (leg0->snapshot() != spare->snapshot()) {
     throw util::PolicyError(
         "rebuild game: promoted spare diverged from the canonical member");
@@ -180,93 +96,51 @@ TrialObs run_trial(const RebuildGameConfig& cfg, bool hidden_world,
   return obs;
 }
 
+/// The seized prefix [0, watermark) of `snap`.
+Snapshot prefix(const Snapshot& snap, std::uint64_t watermark) {
+  const auto end = snap.image.begin() +
+                   static_cast<std::ptrdiff_t>(watermark * snap.block_size);
+  return Snapshot{util::Bytes(snap.image.begin(), end), snap.block_size};
+}
+
 }  // namespace
 
-RebuildGameResult run_rebuild_leak_game(const RebuildGameConfig& cfg) {
-  RebuildGameResult result;
-  DistinguisherResult any_growth{"rebuild-anygrowth (seized-spare window)",
-                                 0, 0};
-  DistinguisherResult budget{"rebuild-budget (seized-spare window)", 0, 0};
-  DistinguisherResult blockdiff{"rebuild-blockdiff (seized prefix)", 0, 0};
-  bool thin = true;
-  double fraction_sum = 0.0;
-
-  util::Xoshiro256 master(cfg.seed);
-  for (std::uint64_t trial = 0; trial < cfg.trials; ++trial) {
-    const bool hidden_world = master.next_below(2) == 0;
-    const std::uint64_t trial_seed = master.next_u64();
-    util::Xoshiro256 rng(master.next_u64());
-
-    const TrialObs obs = run_trial(cfg, hidden_world, trial_seed, rng);
-    result.rebuilds_completed += obs.rebuilds_completed;
-    fraction_sum += static_cast<double>(obs.watermark) /
-                    static_cast<double>(cfg.disk_blocks);
-
-    const std::size_t bs = obs.s0.block_size;
-    const std::size_t prefix_bytes =
-        static_cast<std::size_t>(obs.watermark) * bs;
-
-    // Distinguisher 1 — scheme-agnostic changed-block count over the
-    // seized prefix vs the publicly accountable payload. The equal-size
-    // discipline makes the write volume world-independent, so any fixed
-    // amplification threshold leaves this at ~0 advantage for every
-    // scheme: the rebuild leak (where there is one) is metadata-shaped,
-    // not volume-shaped.
-    {
-      Snapshot p0{util::Bytes(obs.s0.image.begin(),
-                              obs.s0.image.begin() + prefix_bytes),
-                  bs};
-      Snapshot pm{util::Bytes(obs.seized.image.begin(),
-                              obs.seized.image.begin() + prefix_bytes),
-                  bs};
-      const DiffResult diff = diff_snapshots(p0, pm);
-      const double threshold =
-          2.0 * static_cast<double>(obs.window_payload_bytes) /
-          static_cast<double>(bs);
-      const bool guess_hidden =
-          static_cast<double>(diff.total_changed()) > threshold;
-      ++blockdiff.trials;
-      if (guess_hidden == hidden_world) ++blockdiff.correct;
-    }
-
-    // Distinguishers 2 and 3 — thin-metadata attacks on the narrow
-    // S0 -> seizure window the spare opens (the seized prefix covers the
-    // metadata region, so the mid-rebuild pool state parses like any
-    // border snapshot). Any-nonpublic-growth is what catches MobiPluto:
-    // without dummy writes, a single fresh non-public chunk inside the
-    // window is unaccountable — while MobiCeal's dummies make non-public
-    // growth routine in both worlds. The dummy-budget bound is the
-    // paper-faithful adversary, reported alongside.
-    if (thin) {
-      try {
-        const ThinMetadataReader before(obs.s0);
-        const ThinMetadataReader mid(obs.seized);
-        const AttackReport growth = nonpublic_growth_attack(before, mid);
-        ++any_growth.trials;
-        if (growth.suspects_hidden_data == hidden_world) {
-          ++any_growth.correct;
-        }
-        const AttackReport rep = dummy_budget_attack(before, mid,
-                                                     cfg.lambda);
-        ++budget.trials;
-        if (rep.suspects_hidden_data == hidden_world) ++budget.correct;
-      } catch (const util::MetadataError&) {
-        thin = false;  // no thin pool to parse (e.g. mobiflage)
-      }
-    }
-  }
-
-  result.thin_metadata = thin && budget.trials > 0;
-  if (result.thin_metadata) {
-    result.distinguishers.push_back(any_growth);
-    result.distinguishers.push_back(budget);
-  }
-  result.distinguishers.push_back(blockdiff);
-  if (cfg.trials > 0) {
-    result.mean_seized_fraction =
-        fraction_sum / static_cast<double>(cfg.trials);
-  }
-  return result;
+GameResult run_rebuild_leak_game(const RebuildGameConfig& cfg) {
+  Game<SeizedSpare> game;
+  game.world = [&cfg](bool hidden_world, std::uint64_t trial_seed,
+                      util::Rng& rng) {
+    return play_world(cfg, hidden_world, trial_seed, rng);
+  };
+  // The thin-metadata attacks read the narrow S0 -> seizure window the
+  // spare opens: the seized prefix covers the metadata region, so the
+  // mid-rebuild pool state parses like any border snapshot.
+  game.distinguishers = {
+      {"rebuild-anygrowth (seized-spare window)",
+       [](const SeizedSpare& o) {
+         return nonpublic_growth_attack(ThinMetadataReader(o.s0),
+                                        ThinMetadataReader(o.seized));
+       }},
+      {"rebuild-budget (seized-spare window)",
+       [&cfg](const SeizedSpare& o) {
+         return dummy_budget_attack(ThinMetadataReader(o.s0),
+                                    ThinMetadataReader(o.seized),
+                                    cfg.lambda);
+       }},
+      // Changed blocks of the seized prefix against twice the publicly
+      // accountable payload.
+      {"rebuild-blockdiff (seized prefix)",
+       [](const SeizedSpare& o) {
+         const DiffResult diff = diff_snapshots(prefix(o.s0, o.watermark),
+                                                prefix(o.seized, o.watermark));
+         AttackReport r;
+         r.statistic = static_cast<double>(diff.total_changed());
+         r.threshold = 2.0 * static_cast<double>(o.window_payload_bytes) /
+                       static_cast<double>(o.s0.block_size);
+         r.suspects_hidden_data = r.statistic > r.threshold;
+         return r;
+       }},
+  };
+  return game.play(cfg.trials, cfg.seed);
 }
 
 }  // namespace mobiceal::adversary

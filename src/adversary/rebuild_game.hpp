@@ -10,51 +10,42 @@
 // start, so any useful watermark hands the adversary a full mid-time
 // metadata image to difference against the surrounding snapshots.
 //
-// The game (mirroring adversary/security_game.hpp): per trial, flip a fair
+// The game (a world of adversary/game.hpp): per trial, flip a fair
 // coin; degrade a 2-way mirror under the scheme; in the hidden world store
 // a sensitive file (plus the paper's equal-size cover discipline), in the
 // cover world store the plausible public equivalent; rebuild onto a spare
 // to ~half the device under foreground traffic and let the adversary seize
-// it; finish the rebuild and take the final border snapshot. The
-// distinguishers guess the world from (S0, seized spare prefix, S_final):
+// it; finish the rebuild. The distinguishers guess the world from the
+// border snapshot S0 and the seized spare prefix:
 //
-//   * rebuild-budget   — the paper-faithful dummy-budget attack applied to
-//     the NARROW window S0 -> mid that the spare opens. Dummy writes ride
-//     along with public writes inside any window, so MobiCeal stays within
-//     budget (advantage ~ 0); MobiPluto's hidden chunks in that window
-//     have no cover and are caught (advantage ~ 1/2) — the same headline
-//     contrast as the classic game, now surviving a rebuild.
-//   * rebuild-blockdiff — scheme-agnostic fallback (no thin metadata):
-//     raw changed-block count in the seized prefix vs the accountable
-//     payload. Equal-size discipline keeps the totals world-independent,
-//     so this stays ~ 0 for every scheme — an honest canary that the leak,
-//     where it exists, is metadata-shaped, not volume-shaped.
+//   * rebuild-anygrowth — any fresh non-public chunk in the NARROW window
+//     S0 -> mid that the spare opens. Without dummy writes that chunk is
+//     unaccountable, so this is what catches MobiPluto (advantage ~ 1/2);
+//     MobiCeal's dummies make non-public growth routine in both worlds.
+//   * rebuild-budget — the paper-faithful dummy-budget attack on the same
+//     window, reported alongside.
+//   * rebuild-blockdiff — needs no thin metadata: the raw changed-block
+//     count of the seized prefix against twice the payload the user
+//     accounts for in the window. Equal-size discipline keeps the totals
+//     world-independent, so it should stay near noise for every scheme.
+//
+// The thin-metadata distinguishers never apply to schemes without a thin
+// pool (Mobiflage) and tally 0/0 there.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
-#include "adversary/security_game.hpp"
+#include "adversary/game.hpp"
 
 namespace mobiceal::adversary {
 
-struct RebuildGameConfig {
-  /// SchemeRegistry key of the system under attack (needs kHiddenVolume).
-  std::string scheme = "mobiceal";
-  std::uint64_t trials = 16;
-  std::uint32_t public_files = 8;
-  std::uint32_t public_file_bytes = 96 * 1024;
-  std::uint32_t hidden_file_bytes = 64 * 1024;
-  /// Paper user discipline: pair hidden stores with an equal-size public
-  /// cover file (Sec. IV-B).
-  bool equal_size_discipline = true;
-  std::uint64_t disk_blocks = 16384;  // 64 MiB virtual userdata
-  std::uint32_t num_volumes = 6;
-  std::uint32_t chunk_blocks = 4;
-  double lambda = 1.0;
-  std::uint32_t x = 50;
-  std::uint64_t seed = 1;
+/// The user plays one window of `public_files_per_round` files; `rounds`
+/// does not apply.
+struct RebuildGameConfig : GameConfig {
+  RebuildGameConfig() {
+    trials = 16;
+    public_files_per_round = 8;
+  }
   /// Blocks copied per rebuild_step while the foreground keeps writing.
   std::uint64_t rebuild_step_blocks = 512;
   /// The adversary seizes the spare once the watermark passes this
@@ -62,27 +53,9 @@ struct RebuildGameConfig {
   std::uint32_t seize_permille = 500;
 };
 
-struct RebuildGameResult {
-  std::vector<DistinguisherResult> distinguishers;
-  /// True when the scheme exposes dm-thin metadata to the budget attack
-  /// (false: only the block-diff distinguisher ran).
-  bool thin_metadata = false;
-  /// Rebuilds driven to completion across all trials (sanity: == trials).
-  std::uint64_t rebuilds_completed = 0;
-  /// Mean seized watermark as a fraction of the device.
-  double mean_seized_fraction = 0.0;
-
-  /// The canary value: worst distinguisher advantage.
-  double max_advantage() const {
-    double adv = 0.0;
-    for (const auto& d : distinguishers) {
-      if (d.advantage() > adv) adv = d.advantage();
-    }
-    return adv;
-  }
-};
-
-/// Runs the full game. Deterministic per (config.seed).
-RebuildGameResult run_rebuild_leak_game(const RebuildGameConfig& config);
+/// Runs the full game. Deterministic per (config.seed). Every trial's
+/// rebuild must complete with the promoted spare bit-identical to the
+/// canonical member (util::PolicyError otherwise).
+GameResult run_rebuild_leak_game(const RebuildGameConfig& config);
 
 }  // namespace mobiceal::adversary

@@ -1,178 +1,52 @@
 #include "adversary/security_game.hpp"
 
-#include "api/scheme_registry.hpp"
 #include "blockdev/block_device.hpp"
-#include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace mobiceal::adversary {
 
 namespace {
 
-constexpr char kPub[] = "game-public-pw";
-constexpr char kHid[] = "game-hidden-pw";
-
-util::Bytes random_payload(util::Rng& rng, std::size_t n) {
-  util::Bytes out(n);
-  rng.fill(out);
-  return out;
-}
-
-/// One world execution: returns the per-round metadata readers
-/// (reader[0] = baseline snapshot, reader[i] = after round i).
-struct TrialTrace {
-  std::vector<ThinMetadataReader> readers;
+/// The border snapshots before and after the observation window.
+struct ThinWindow {
+  Snapshot first;
+  Snapshot last;
 };
-
-TrialTrace run_trial(const GameConfig& cfg, bool hidden_world,
-                     std::uint64_t trial_seed, util::Rng& rng) {
-  auto disk = std::make_shared<blockdev::MemBlockDevice>(cfg.disk_blocks);
-
-  api::SchemeOptions opts;
-  opts.device = disk;
-  opts.public_password = kPub;
-  opts.hidden_passwords = {kHid};
-  opts.num_volumes = cfg.num_volumes;
-  opts.chunk_blocks = cfg.chunk_blocks;
-  opts.kdf_iterations = 16;
-  opts.fs_inode_count = 256;
-  opts.zero_cpu_models = true;
-  opts.rng_seed = trial_seed;
-  opts.lambda = cfg.lambda;
-  opts.x = cfg.x;
-  auto dev = api::SchemeRegistry::create(cfg.scheme, opts);
-  if (!dev->capabilities().has(api::Capability::kHiddenVolume)) {
-    throw util::PolicyError("security game: scheme '" + cfg.scheme +
-                            "' has no hidden volume to hide data in");
-  }
-  const bool fast_switch =
-      dev->capabilities().has(api::Capability::kFastSwitch);
-
-  // Every mode change must succeed: a silent fall-through would write the
-  // "hidden" payload into the public volume and corrupt the measured
-  // advantage — the repo's headline number.
-  auto must_unlock = [&](const char* pwd, api::VolumeClass want) {
-    const auto r = dev->unlock(pwd);
-    if (!r.ok || r.volume != want) {
-      throw util::PolicyError("security game: unlock did not reach the " +
-                              std::string(want == api::VolumeClass::kHidden
-                                              ? "hidden"
-                                              : "public") +
-                              " volume on '" + cfg.scheme + "'");
-    }
-  };
-  auto boot_public = [&] { must_unlock(kPub, api::VolumeClass::kPublic); };
-  auto write_file = [&](const std::string& path, std::size_t n) {
-    dev->data_fs().write_file(path, random_payload(rng, n));
-    dev->data_fs().sync();
-  };
-  auto store_hidden = [&](const std::string& path, std::size_t n) {
-    if (fast_switch) {
-      // The MobiCeal workflow: fast switch at the lock screen, store,
-      // reboot back to public mode (Sec. IV-B "User Steps").
-      if (!dev->switch_volume(kHid)) {
-        throw util::PolicyError("security game: fast switch failed on '" +
-                                cfg.scheme + "'");
-      }
-    } else {
-      // No fast switch: full reboot into hidden mode.
-      dev->reboot();
-      must_unlock(kHid, api::VolumeClass::kHidden);
-    }
-    dev->data_fs().write_file(path, random_payload(rng, n));
-    dev->data_fs().sync();
-    dev->reboot();
-    boot_public();
-  };
-  auto reboot = [&] { dev->reboot(); };
-
-  TrialTrace trace;
-  // Baseline usage, then snapshot D0.
-  boot_public();
-  write_file("/base0", cfg.public_file_bytes);
-  write_file("/base1", cfg.public_file_bytes / 2);
-  reboot();
-  trace.readers.emplace_back(Snapshot::take(*disk));
-
-  int file_id = 0;
-  for (std::uint32_t round = 0; round < cfg.rounds; ++round) {
-    boot_public();
-    for (std::uint32_t f = 0; f < cfg.public_files_per_round; ++f) {
-      const std::size_t jitter =
-          cfg.public_file_bytes / 2 +
-          rng.next_below(cfg.public_file_bytes);
-      write_file("/pub" + std::to_string(file_id++), jitter);
-    }
-    if (hidden_world) {
-      store_hidden("/sensitive" + std::to_string(round),
-                   cfg.hidden_file_bytes);
-      if (cfg.equal_size_discipline) {
-        write_file("/cover" + std::to_string(round), cfg.hidden_file_bytes);
-      }
-    } else {
-      // The plausible public equivalent of the hidden operation.
-      write_file("/extra" + std::to_string(round), cfg.hidden_file_bytes);
-      if (cfg.equal_size_discipline) {
-        write_file("/cover" + std::to_string(round), cfg.hidden_file_bytes);
-      }
-    }
-    reboot();
-    trace.readers.emplace_back(Snapshot::take(*disk));
-  }
-  return trace;
-}
 
 }  // namespace
 
 GameResult run_security_game(const GameConfig& cfg) {
-  GameResult result;
-  DistinguisherResult any_growth{"any-nonpublic-growth", 0, 0};
-  DistinguisherResult budget{"dummy-budget (paper adversary)", 0, 0};
-  DistinguisherResult mean_rate{"mean-rate threshold", 0, 0};
-
-  util::Xoshiro256 master(cfg.seed);
-  for (std::uint64_t trial = 0; trial < cfg.trials; ++trial) {
-    const bool hidden_world = master.next_below(2) == 0;
-    const std::uint64_t trial_seed = master.next_u64();
-    util::Xoshiro256 rng(master.next_u64());
-
-    const TrialTrace trace = run_trial(cfg, hidden_world, trial_seed, rng);
-
-    // Aggregate growth over the whole observation window.
-    const auto& first = trace.readers.front();
-    const auto& last = trace.readers.back();
-    const ThinDelta total = compute_thin_delta(first, last);
-    for (std::size_t r = 1; r < trace.readers.size(); ++r) {
-      const ThinDelta d =
-          compute_thin_delta(trace.readers[r - 1], trace.readers[r]);
-      auto& stats = hidden_world ? result.nonpublic_delta_hidden_world
-                                 : result.nonpublic_delta_cover_world;
-      stats.add(static_cast<double>(d.non_public_new_chunks));
-    }
-
-    // Distinguisher 1: any non-public growth at all.
-    {
-      const bool guess_hidden = total.non_public_new_chunks > 0;
-      ++any_growth.trials;
-      if (guess_hidden == hidden_world) ++any_growth.correct;
-    }
-    // Distinguisher 2: the paper-faithful dummy-budget bound.
-    {
-      const AttackReport rep = dummy_budget_attack(first, last, cfg.lambda);
-      ++budget.trials;
-      if (rep.suspects_hidden_data == hidden_world) ++budget.correct;
-    }
-    // Distinguisher 3: mean-rate threshold.
-    {
-      const AttackReport rep = mean_rate_attack(first, last, cfg.lambda,
-                                                cfg.x);
-      ++mean_rate.trials;
-      if (rep.suspects_hidden_data == hidden_world) ++mean_rate.correct;
-    }
-  }
-
-  result.distinguishers = {any_growth, budget, mean_rate};
-  return result;
+  Game<ThinWindow> game;
+  game.world = [&cfg](bool hidden_world, std::uint64_t trial_seed,
+                      util::Rng& rng) {
+    auto disk = std::make_shared<blockdev::MemBlockDevice>(cfg.disk_blocks);
+    GameUser user(cfg, disk, trial_seed, rng);
+    user.baseline();
+    ThinWindow obs{Snapshot::take(*disk), {}};
+    user.rounds(hidden_world);
+    obs.last = Snapshot::take(*disk);
+    return obs;
+  };
+  game.distinguishers = {
+      // Any non-public growth at all.
+      {"any-nonpublic-growth",
+       [](const ThinWindow& w) {
+         return nonpublic_growth_attack(ThinMetadataReader(w.first),
+                                        ThinMetadataReader(w.last));
+       }},
+      // The paper-faithful dummy-budget bound.
+      {"dummy-budget (paper adversary)",
+       [&cfg](const ThinWindow& w) {
+         return dummy_budget_attack(ThinMetadataReader(w.first),
+                                    ThinMetadataReader(w.last), cfg.lambda);
+       }},
+      {"mean-rate threshold",
+       [&cfg](const ThinWindow& w) {
+         return mean_rate_attack(ThinMetadataReader(w.first),
+                                 ThinMetadataReader(w.last), cfg.lambda,
+                                 cfg.x);
+       }},
+  };
+  return game.play(cfg.trials, cfg.seed);
 }
 
 }  // namespace mobiceal::adversary

@@ -5,70 +5,24 @@
 // executes `rounds` access-pattern pairs that differ only in hidden
 // activity (b = 0: the user stores a sensitive file via fast switch;
 // b = 1: the same volume of data goes to the public volume instead —
-// "operations can be plausibly applied to one of public volumes"). After
-// every round the adversary receives an on-event snapshot. The
-// distinguisher then guesses b from the snapshot sequence, the coerced
-// decoy password, and full design knowledge.
+// "operations can be plausibly applied to one of public volumes"). The
+// adversary images the device after the baseline use and after the last
+// round. The distinguishers then guess b from the two snapshots, the
+// coerced decoy password, and full design knowledge.
 //
 // Theorem VI.2 predicts advantage ≈ 0 for MobiCeal; the same game against
 // MobiPluto (no dummy writes) yields advantage ≈ 1/2 (the distinguisher is
 // always right) — that contrast is the headline security result.
 //
 // The game is scheme-agnostic: `scheme` names any registered api::PdeScheme
-// with a hidden volume. Fast-switch schemes store hidden data through the
-// lock-screen switch (Sec. IV-B "User Steps"); the rest reboot into hidden
-// mode and back. The distinguishers read dm-thin on-disk metadata, so
-// schemes without a thin pool (e.g. "mobiflage") make run_security_game
-// throw util::MetadataError at the first snapshot.
+// with a hidden volume (GameUser plays the paper's user steps). The
+// distinguishers read dm-thin on-disk metadata, so on schemes without a
+// thin pool (e.g. "mobiflage") they never apply and tally 0/0.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <string>
-#include <vector>
-
-#include "adversary/attacks.hpp"
-#include "util/stats.hpp"
+#include "adversary/game.hpp"
 
 namespace mobiceal::adversary {
-
-struct GameConfig {
-  /// SchemeRegistry key of the system under attack.
-  std::string scheme = "mobiceal";
-  std::uint64_t trials = 24;
-  std::uint32_t rounds = 3;  // snapshot events per trial (border crossings)
-  std::uint32_t public_files_per_round = 10;
-  std::uint32_t public_file_bytes = 96 * 1024;
-  std::uint32_t hidden_file_bytes = 64 * 1024;
-  /// Paper user discipline: after storing hidden data, store a file of
-  /// approximately equal size in the public volume (Sec. IV-B).
-  bool equal_size_discipline = true;
-  std::uint64_t disk_blocks = 16384;  // 64 MiB virtual userdata
-  std::uint32_t num_volumes = 6;
-  std::uint32_t chunk_blocks = 4;
-  double lambda = 1.0;
-  std::uint32_t x = 50;
-  std::uint64_t seed = 1;
-};
-
-struct DistinguisherResult {
-  std::string name;
-  std::uint64_t correct = 0;
-  std::uint64_t trials = 0;
-  double advantage() const {
-    if (trials == 0) return 0.0;
-    return std::abs(static_cast<double>(correct) /
-                        static_cast<double>(trials) -
-                    0.5);
-  }
-};
-
-struct GameResult {
-  std::vector<DistinguisherResult> distinguishers;
-  /// Observed non-public chunk growth per round, split by world.
-  util::RunningStats nonpublic_delta_hidden_world;
-  util::RunningStats nonpublic_delta_cover_world;
-};
 
 /// Runs the full game. Deterministic per (config.seed).
 GameResult run_security_game(const GameConfig& config);

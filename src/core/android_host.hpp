@@ -15,7 +15,8 @@
 //    them with tmpfs RAM disks before entering hidden mode, so hidden-mode
 //    records die at reboot. With isolation disabled (how HIVE/DEFY-style
 //    shared-OS designs behave), hidden-mode records persist — which is
-//    exactly what adversary::SideChannelAuditor detects.
+//    exactly what adversary::audit_side_channels (adversary/side_channel.hpp)
+//    detects.
 #pragma once
 
 #include <memory>

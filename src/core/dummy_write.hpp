@@ -31,7 +31,7 @@ struct DummyWriteConfig {
   /// Rate parameter of the exponential burst-size distribution. We use the
   /// paper's example value lambda = 1 ("each dummy write will be allocated
   /// one free block on average", Sec. IV-B), which also lands total write
-  /// overhead in the paper's measured 18-22% band (see EXPERIMENTS.md).
+  /// overhead in the paper's measured 18-22% band (bench_fig4_throughput).
   double lambda = 1.0;
   /// How burst sizes are discretised from the exponential variate.
   enum class Rounding { kNearest, kCeil } rounding = Rounding::kNearest;

@@ -8,6 +8,7 @@
 
 #include "adversary/attacks.hpp"
 #include "adversary/ftl_attacks.hpp"
+#include "adversary/game.hpp"
 #include "adversary/metadata_reader.hpp"
 #include "adversary/rebuild_game.hpp"
 #include "adversary/security_game.hpp"
@@ -342,6 +343,95 @@ TEST(GameParity, FtlGame) {
   cfg.seed = 211;
   expect_tallies(adversary::run_ftl_game(cfg),
                  {{unaccounted, 0, 0}, {budget, 0, 0}, {tail, 4, 4}});
+}
+
+// ---- the game harness -----------------------------------------------------------------------
+
+TEST(Game, RecordsEveryTrialInOrderAndSkipsInapplicableVerdicts) {
+  // World: the observation is the world bit itself. One distinguisher reads
+  // it perfectly, one never applies, one applies only to hidden worlds.
+  adversary::Game<bool> game;
+  game.world = [](bool hidden_world, std::uint64_t, util::Rng&) {
+    return hidden_world;
+  };
+  auto report = [](bool guess, double statistic) {
+    adversary::AttackReport r;
+    r.suspects_hidden_data = guess;
+    r.statistic = statistic;
+    return r;
+  };
+  game.distinguishers = {
+      {"oracle", [&](const bool& hidden) { return report(hidden, 1.0); }},
+      {"blind",
+       [](const bool&) -> adversary::AttackReport {
+         throw util::MetadataError("nothing to parse");
+       }},
+      {"hidden-only",
+       [&](const bool& hidden) {
+         if (!hidden) throw util::MetadataError("cover world");
+         return report(false, 2.0);
+       }},
+  };
+  const adversary::GameResult r = game.play(16, 42);
+
+  ASSERT_EQ(r.trials.size(), 16u);
+  std::uint64_t hidden_trials = 0;
+  for (const auto& t : r.trials) {
+    ASSERT_EQ(t.verdicts.size(), 3u);
+    ASSERT_TRUE(t.verdicts[0].has_value());
+    EXPECT_EQ(t.verdicts[0]->suspects_hidden_data, t.hidden_world);
+    EXPECT_FALSE(t.verdicts[1].has_value());
+    EXPECT_EQ(t.verdicts[2].has_value(), t.hidden_world);
+    hidden_trials += t.hidden_world ? 1 : 0;
+  }
+  ASSERT_GT(hidden_trials, 0u);
+  ASSERT_LT(hidden_trials, 16u);
+
+  EXPECT_EQ(r.distinguisher("oracle").correct, 16u);
+  EXPECT_EQ(r.distinguisher("oracle").trials, 16u);
+  EXPECT_DOUBLE_EQ(r.distinguisher("oracle").advantage(), 0.5);
+  EXPECT_EQ(r.distinguisher("blind").trials, 0u);
+  EXPECT_DOUBLE_EQ(r.distinguisher("blind").advantage(), 0.0);
+  EXPECT_EQ(r.distinguisher("hidden-only").trials, hidden_trials);
+  EXPECT_EQ(r.distinguisher("hidden-only").correct, 0u);
+  EXPECT_DOUBLE_EQ(r.max_advantage(), 0.5);
+  EXPECT_THROW(r.distinguisher("missing"), std::out_of_range);
+
+  EXPECT_EQ(r.statistic("hidden-only", true).count(), hidden_trials);
+  EXPECT_DOUBLE_EQ(r.statistic("hidden-only", true).mean(), 2.0);
+  EXPECT_EQ(r.statistic("hidden-only", false).count(), 0u);
+  EXPECT_EQ(r.statistic("oracle", false).count(), 16u - hidden_trials);
+
+  // Same seed, same record.
+  const adversary::GameResult again = game.play(16, 42);
+  for (std::size_t t = 0; t < r.trials.size(); ++t) {
+    EXPECT_EQ(again.trials[t].hidden_world, r.trials[t].hidden_world);
+  }
+}
+
+TEST(Game, ThinDistinguishersDoNotApplyWithoutAThinPool) {
+  adversary::GameConfig cfg;
+  cfg.scheme = "mobiflage";
+  cfg.trials = 2;
+  cfg.rounds = 1;
+  cfg.public_files_per_round = 2;
+  const auto r = adversary::run_security_game(cfg);
+  ASSERT_EQ(r.distinguishers.size(), 3u);
+  for (const auto& d : r.distinguishers) EXPECT_EQ(d.trials, 0u) << d.name;
+}
+
+TEST(Game, SideChannelGameSeparatesSharedOsFromIsolation) {
+  constexpr char kTrace[] = "persistent hidden-session trace";
+  // Shared OS: every hidden session leaves a trace, no cover session does.
+  const auto shared = adversary::run_side_channel_game(false, 6, 3);
+  EXPECT_EQ(shared.distinguisher(kTrace).correct, 6u);
+  EXPECT_EQ(shared.statistic(kTrace, false).max(), 0.0);
+  // MobiCeal: no trace in either world, so the guess is always "cover".
+  const auto isolated = adversary::run_side_channel_game(true, 6, 3);
+  std::uint64_t cover_trials = 0;
+  for (const auto& t : isolated.trials) cover_trials += t.hidden_world ? 0 : 1;
+  EXPECT_EQ(isolated.distinguisher(kTrace).correct, cover_trials);
+  EXPECT_EQ(isolated.statistic(kTrace, true).max(), 0.0);
 }
 
 // ---- side channel -----------------------------------------------------------------------------
