@@ -344,7 +344,9 @@ int main(int argc, char** argv) {
     // enables against this scheme.
     const double leak = gr.max_advantage();
     json.add(std::string(scheme) + ".rebuild_leak_adv", leak);
-    if (gc.scheme == "mobiceal") mobiceal_leak = leak;
+    // A 0/0 tally reads advantage 0 too: MobiCeal holds only where every
+    // distinguisher judged every trial.
+    if (gc.scheme == "mobiceal") mobiceal_leak = gr.all_applied() ? leak : 1.0;
     if (gc.scheme == "mobipluto") mobipluto_leak = leak;
   }
 

@@ -203,7 +203,10 @@ int main(int argc, char** argv) {
     }
     const double max_adv = gr.max_advantage();
     json.add(std::string(scheme) + ".ftl_game_adv", max_adv);
-    if (gc.scheme == "mobiceal") mobiceal_adv = max_adv;
+    // A 0/0 tally reads advantage 0 too: MobiCeal holds only where every
+    // distinguisher judged every trial.
+    if (gc.scheme == "mobiceal")
+      mobiceal_adv = gr.all_applied() ? max_adv : 1.0;
     if (gc.scheme == "mobipluto")
       pluto_adv = gr.distinguisher("ftl-unaccounted-programs").advantage();
     if (gc.scheme == "mobiflage")

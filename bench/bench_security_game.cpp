@@ -89,6 +89,8 @@ int main(int argc, char** argv) {
   };
   const double pluto =
       results.at("mobipluto").distinguisher(kGrowth).advantage();
+  // MobiCeal holds only where every distinguisher judged every trial:
+  // a 0/0 tally reads advantage 0 too.
   const auto& mc = results.at("mobiceal");
   const double mc_budget = mc.distinguisher(kBudget).advantage();
   const double mc_growth = mc.distinguisher(kGrowth).advantage();
@@ -96,8 +98,8 @@ int main(int argc, char** argv) {
   bool ok = check("MobiPluto fully distinguished (adv ~0.5):", pluto,
                   pluto > 0.4);
   ok = check("MobiCeal vs paper adversary (budget) adv <0.15:", mc_budget,
-             mc_budget < 0.15) && ok;
+             mc.all_applied() && mc_budget < 0.15) && ok;
   ok = check("MobiCeal vs any-growth adversary adv <0.2:", mc_growth,
-             mc_growth < 0.2) && ok;
+             mc.all_applied() && mc_growth < 0.2) && ok;
   return ok ? 0 : 1;
 }

@@ -8,7 +8,7 @@
 // audited) and the side-channel game (world by coin flip, guessed from the
 // audit). Gates (exit nonzero): MobiCeal leak-free and the shared OS
 // leaking, always armed (deterministic); the shared OS's game won, armed
-// from adversary::kMinArmedTrials trials.
+// from adversary::kMinArmedTrials trials (the game's default count).
 #include <cstdio>
 
 #include "adversary/side_channel.hpp"
@@ -37,8 +37,10 @@ int main(int argc, char** argv) {
   json.add("mobiceal.leaks_count", static_cast<double>(mobiceal_leaks));
   json.add("shared_os.leaks_count", static_cast<double>(shared_os_leaks));
 
-  std::printf("\n== Side-channel game (%d trials) ==\n", reps);
-  const auto trials = static_cast<std::uint64_t>(reps);
+  const auto trials = static_cast<std::uint64_t>(
+      bench::env_bench_reps(static_cast<int>(adversary::kMinArmedTrials)));
+  std::printf("\n== Side-channel game (%llu trials) ==\n",
+              static_cast<unsigned long long>(trials));
   double shared_os_adv = 0.0;
   for (const bool isolate : {true, false}) {
     const char* label = isolate ? "mobiceal" : "shared_os";

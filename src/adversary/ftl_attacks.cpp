@@ -74,17 +74,10 @@ FlashDelta compute_flash_delta(const ftl::RawFlashSnapshot& before,
     const auto& pg = after.pages[p];
     if (pg.state == ftl::PageState::kFree) continue;
     if (pg.seq <= before.max_seq) continue;
-    ++d.fresh_programs;
-    if (known.count(page_fingerprint(after.page_data(p)))) {
-      ++d.fresh_relocations;
-      continue;
-    }
-    ++d.fresh_host_programs;
+    if (known.count(page_fingerprint(after.page_data(p)))) continue;
     if (pg.logical != ftl::kUnmappedPage)
       d.fresh_logical.push_back(pg.logical);
   }
-  for (std::size_t b = 0; b < after.erase_counts.size(); ++b)
-    d.erases += after.erase_counts[b] - before.erase_counts[b];
   return d;
 }
 
@@ -164,8 +157,7 @@ struct FlashWindow {
   Snapshot logical;
 };
 
-/// Thin metadata and pool layout parsed out of the logical image; throws
-/// util::MetadataError on schemes without a thin pool.
+/// Thin metadata and pool layout parsed out of the logical image.
 struct ParsedPool {
   ThinMetadataReader meta;
   PoolLayout layout;
@@ -196,11 +188,14 @@ GameResult run_ftl_game(const FtlGameConfig& cfg) {
     GameUser user(cfg, flash, trial_seed, rng, clock, "ftl-game");
     user.baseline();
     const ftl::RawFlashSnapshot first = flash->snapshot_raw_flash();
-    user.rounds(hidden_world);
+    user.rounds(hidden_world, cfg.rounds);
     const ftl::RawFlashSnapshot last = flash->snapshot_raw_flash();
     return FlashWindow{compute_flash_delta(first, last),
                        Snapshot{last.logical_image(),
                                 last.geometry.block_size}};
+  };
+  const auto thin = [](const FlashWindow& w) {
+    return has_thin_pool(w.logical);
   };
   game.distinguishers = {
       {"ftl-unaccounted-programs",
@@ -208,13 +203,15 @@ GameResult run_ftl_game(const FtlGameConfig& cfg) {
          const ParsedPool pool(w, cfg.scheme);
          return ftl_unaccounted_programs_attack(w.delta, pool.meta,
                                                 pool.layout);
-       }},
+       },
+       thin},
       {"ftl-program-budget",
        [&cfg](const FlashWindow& w) {
          const ParsedPool pool(w, cfg.scheme);
          return ftl_program_budget_attack(w.delta, pool.meta, pool.layout,
                                           cfg.lambda);
-       }},
+       },
+       thin},
       {"ftl-tail-locality",
        [&cfg](const FlashWindow& w) {
          return ftl_tail_locality_attack(w.delta, cfg.disk_blocks,

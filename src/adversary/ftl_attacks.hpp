@@ -16,18 +16,11 @@
 // matching: a relocated page carries bytes that already existed somewhere
 // in the previous image, so only genuinely new host writes remain.
 //
-// Expected outcomes (measured by run_ftl_game, gated in bench_ftl):
-//   - MobiPluto: ftl_unaccounted_programs_attack wins outright — without
-//     dummy writes every fresh program into a non-public chunk is
-//     unaccountable. This breaks the scheme's block-level deniability,
-//     and bench_ftl gates it as an *expected breach*.
-//   - Mobiflage: ftl_tail_locality_attack wins — the hidden ext volume
-//     lives at a pseudorandom offset in [70%, 95%] of the logical span,
-//     so fresh programs mapping into the tail betray hidden activity.
-//   - MobiCeal: dummy writes fire in both worlds, so the counting
-//     distinguishers stay near advantage 0 — but the raw-flash game
-//     measures exactly how much margin the dummy budget leaves at the
-//     flash level, which bench_ftl records and gates against growth.
+// Expected outcomes (docs/ADVERSARY.md, Game 4; gated in bench_ftl):
+// ftl_unaccounted_programs_attack breaks MobiPluto (no dummy writes), and
+// ftl_tail_locality_attack breaks Mobiflage (hidden volume in the tail of
+// the span); MobiCeal's dummies fire in both worlds, so the counting
+// distinguishers stay near advantage 0.
 #pragma once
 
 #include <cstdint>
@@ -43,17 +36,10 @@ namespace mobiceal::adversary {
 
 /// What changed on the flash between two raw snapshots of the same chip.
 struct FlashDelta {
-  /// Pages programmed since `before` (seq > before.max_seq), valid or
-  /// stale — flash history counts superseded copies too.
-  std::uint64_t fresh_programs = 0;
-  /// Fresh programs whose content already existed in `before` — GC
-  /// relocations of old data, excluded from the host-write analysis.
-  std::uint64_t fresh_relocations = 0;
-  /// fresh_programs - fresh_relocations.
-  std::uint64_t fresh_host_programs = 0;
-  /// Erase operations since `before` (sum of erase-counter deltas).
-  std::uint64_t erases = 0;
-  /// Logical page of every fresh host program, in physical-page order.
+  /// Logical page of every fresh host program, in physical-page order:
+  /// pages programmed since `before` (seq > before.max_seq, valid or stale
+  /// — flash history counts superseded copies too) whose content did not
+  /// already exist in `before` (GC relocations are excluded).
   std::vector<std::uint64_t> fresh_logical;
 };
 

@@ -5,6 +5,7 @@
 
 #include "api/scheme_registry.hpp"
 #include "blockdev/block_device.hpp"
+#include "util/error.hpp"
 
 namespace mobiceal::adversary {
 
@@ -34,6 +35,13 @@ double GameResult::max_advantage() const {
   return adv;
 }
 
+bool GameResult::all_applied() const {
+  return std::all_of(distinguishers.begin(), distinguishers.end(),
+                     [this](const DistinguisherResult& d) {
+                       return d.trials == trials.size();
+                     });
+}
+
 DistinguisherResult tally(const std::string& name,
                           const std::vector<TrialRecord>& trials,
                           std::size_t index) {
@@ -47,7 +55,7 @@ DistinguisherResult tally(const std::string& name,
   return d;
 }
 
-GameUser::GameUser(const GameConfig& cfg,
+GameUser::GameUser(const GameSetup& cfg,
                    std::shared_ptr<blockdev::BlockDevice> device,
                    std::uint64_t trial_seed, util::Rng& rng,
                    std::shared_ptr<util::SimClock> clock,
@@ -137,8 +145,8 @@ void GameUser::round(bool hidden_world, const std::string& suffix) {
   }
 }
 
-void GameUser::rounds(bool hidden_world) {
-  for (std::uint32_t r = 0; r < cfg_.rounds; ++r) {
+void GameUser::rounds(bool hidden_world, std::uint32_t count) {
+  for (std::uint32_t r = 0; r < count; ++r) {
     round(hidden_world, std::to_string(r));
     reboot();
   }

@@ -1,26 +1,20 @@
 // One harness for every security game of docs/ADVERSARY.md.
 //
 // Each game is an instance of the multi-snapshot game of Sec. III-C
-// (Setup / Training / Guess, bounded by Theorem VI.2): per trial the
-// challenger flips a fair coin, plays the world it names, and hands the
-// adversary what it can seize; every distinguisher then guesses the world.
-// A game is therefore two things:
-//
-//   * a *world*: (hidden_world, trial_seed, rng) -> observation, and
-//   * named *distinguishers*: observation -> AttackReport (verdict and
-//     statistic).
-//
+// (Setup / Training / Guess, bounded by Theorem VI.2): a *world*,
+// (hidden_world, trial_seed, rng) -> observation, and named
+// *distinguishers*, observation -> AttackReport (verdict and statistic).
 // Game::play owns the only trial loop and returns one record per trial, in
-// trial order: the world bit and every distinguisher's verdict. Tallies
-// and the side statistics the benches print are derived from that record.
+// trial order; tallies and side statistics derive from that record.
 //
-// Not applicable: a distinguisher that cannot read its observation throws
-// util::MetadataError (the thin-metadata attacks on Mobiflage, which has no
-// thin pool) and records no verdict for that trial. One that never applies
-// tallies 0/0 and reports advantage 0.
+// Not applicable is decided once per game, on the first trial's
+// observation (the thin-metadata attacks ask whether the scheme has a thin
+// pool; Mobiflage has none): such a distinguisher records no verdict in
+// any trial and tallies 0/0. One that applies must judge every trial; any
+// error it throws (a checksum mismatch, a missing volume) ends the game.
 //
-// GameUser is the only copy of the paper's user steps (Sec. IV-B "User
-// Steps") on an api::PdeScheme; the block-level worlds share it.
+// GameUser is the only copy of the paper's user steps (Sec. IV-B) on an
+// api::PdeScheme; the block-level worlds share it.
 #pragma once
 
 #include <cmath>
@@ -34,7 +28,6 @@
 
 #include "adversary/attacks.hpp"
 #include "api/pde_scheme.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -47,11 +40,10 @@ inline constexpr std::uint64_t kMinArmedTrials = 8;
 
 /// What every game shares: the scheme under attack, trial count and seed,
 /// the user's workload, and the stack geometry.
-struct GameConfig {
+struct GameSetup {
   /// SchemeRegistry key of the system under attack (needs kHiddenVolume).
   std::string scheme = "mobiceal";
   std::uint64_t trials = 24;
-  std::uint32_t rounds = 3;  // seizures after the baseline one
   std::uint32_t public_files_per_round = 10;
   std::uint32_t public_file_bytes = 96 * 1024;
   std::uint32_t hidden_file_bytes = 64 * 1024;
@@ -64,6 +56,12 @@ struct GameConfig {
   double lambda = 1.0;
   std::uint32_t x = 50;
   std::uint64_t seed = 1;
+};
+
+/// The multi-round games (security_game.hpp, and its raw-flash replay in
+/// ftl_attacks.hpp): baseline seizure, `rounds` rounds of use, last seizure.
+struct GameConfig : GameSetup {
+  std::uint32_t rounds = 3;  // rounds between the two seizures
 };
 
 /// One distinguisher's tally over a game.
@@ -98,6 +96,9 @@ struct GameResult {
                                bool hidden_world) const;
   /// The strongest distinguisher's advantage.
   double max_advantage() const;
+  /// Every distinguisher judged every trial: a "holds" check on a scheme
+  /// whose distinguishers all apply must see this, or 0/0 would pass it.
+  bool all_applied() const;
 };
 
 /// Tallies the `index`-th distinguisher's verdicts over `trials`.
@@ -106,18 +107,27 @@ DistinguisherResult tally(const std::string& name,
                           std::size_t index);
 
 template <class Observation>
+struct Distinguisher {
+  std::string name;
+  std::function<AttackReport(const Observation&)> decide;
+  /// Whether `decide` can read this game's observations at all, asked of
+  /// the first trial's observation only; null means it always can.
+  std::function<bool(const Observation&)> applies = nullptr;
+};
+
+template <class Observation>
 struct Game {
   using World = std::function<Observation(
       bool hidden_world, std::uint64_t trial_seed, util::Rng& rng)>;
-  using Decide = std::function<AttackReport(const Observation&)>;
 
   World world;
-  std::vector<std::pair<std::string, Decide>> distinguishers;
+  std::vector<Distinguisher<Observation>> distinguishers;
 
   /// Deterministic per (trials, seed).
   GameResult play(std::uint64_t trials, std::uint64_t seed) const {
     GameResult result;
     result.trials.reserve(trials);
+    std::vector<bool> applies;
     util::Xoshiro256 master(seed);
     for (std::uint64_t t = 0; t < trials; ++t) {
       TrialRecord record;
@@ -126,10 +136,15 @@ struct Game {
       const std::uint64_t trial_seed = master.next_u64();
       util::Xoshiro256 rng(master.next_u64());
       const Observation obs = world(record.hidden_world, trial_seed, rng);
-      for (const auto& d : distinguishers) {
-        try {
-          record.verdicts.emplace_back(d.second(obs));
-        } catch (const util::MetadataError&) {
+      if (t == 0) {
+        for (const auto& d : distinguishers) {
+          applies.push_back(!d.applies || d.applies(obs));
+        }
+      }
+      for (std::size_t i = 0; i < distinguishers.size(); ++i) {
+        if (applies[i]) {
+          record.verdicts.emplace_back(distinguishers[i].decide(obs));
+        } else {
           record.verdicts.emplace_back();  // not applicable
         }
       }
@@ -137,7 +152,7 @@ struct Game {
     }
     for (std::size_t i = 0; i < distinguishers.size(); ++i) {
       result.distinguishers.push_back(
-          tally(distinguishers[i].first, result.trials, i));
+          tally(distinguishers[i].name, result.trials, i));
     }
     return result;
   }
@@ -152,7 +167,7 @@ class GameUser {
   /// Formats `cfg.scheme` over `device`, seeded by `trial_seed`; file
   /// payloads and sizes draw from `rng`. `password_tag` prefixes the two
   /// passwords.
-  GameUser(const GameConfig& cfg,
+  GameUser(const GameSetup& cfg,
            std::shared_ptr<blockdev::BlockDevice> device,
            std::uint64_t trial_seed, util::Rng& rng,
            std::shared_ptr<util::SimClock> clock = nullptr,
@@ -172,8 +187,8 @@ class GameUser {
   /// hidden store (hidden world) or its plausible public equivalent
   /// (cover world), then the equal-size cover file. Paths end in `suffix`.
   void round(bool hidden_world, const std::string& suffix);
-  /// `rounds` rounds, each followed by a reboot.
-  void rounds(bool hidden_world);
+  /// `count` rounds, each followed by a reboot.
+  void rounds(bool hidden_world, std::uint32_t count);
 
   /// Numbers the public files of every round and any extra ones.
   int next_file_id() { return file_id_++; }
@@ -183,7 +198,7 @@ class GameUser {
  private:
   void must_unlock(const std::string& password, api::VolumeClass want);
 
-  const GameConfig& cfg_;
+  const GameSetup& cfg_;
   util::Rng& rng_;
   const std::string pub_;
   const std::string hid_;

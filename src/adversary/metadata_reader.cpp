@@ -24,6 +24,12 @@ PoolLayout PoolLayout::mobipluto(const thin::Superblock& sb,
   return PoolLayout{0, geom.total_blocks};
 }
 
+bool has_thin_pool(const Snapshot& snap,
+                   std::uint64_t metadata_start_block) {
+  return util::load_le<std::uint64_t>(
+             snap.block(metadata_start_block).data()) == thin::kThinMagic;
+}
+
 ThinMetadataReader::ThinMetadataReader(const Snapshot& snap,
                                        std::uint64_t metadata_start_block) {
   const std::size_t bs = snap.block_size;

@@ -35,6 +35,12 @@ struct PoolLayout {
                               std::size_t block_size);
 };
 
+/// Whether the scheme keeps a thin pool at all: the thin superblock magic
+/// sits at `metadata_start_block`. Says nothing about whether the rest
+/// parses (ThinMetadataReader checks that).
+bool has_thin_pool(const Snapshot& snap,
+                   std::uint64_t metadata_start_block = 0);
+
 class ThinMetadataReader {
  public:
   /// Parses the metadata region found at `metadata_start_block` of the

@@ -114,18 +114,21 @@ GameResult run_rebuild_leak_game(const RebuildGameConfig& cfg) {
   // The thin-metadata attacks read the narrow S0 -> seizure window the
   // spare opens: the seized prefix covers the metadata region, so the
   // mid-rebuild pool state parses like any border snapshot.
+  const auto thin = [](const SeizedSpare& o) { return has_thin_pool(o.s0); };
   game.distinguishers = {
       {"rebuild-anygrowth (seized-spare window)",
        [](const SeizedSpare& o) {
          return nonpublic_growth_attack(ThinMetadataReader(o.s0),
                                         ThinMetadataReader(o.seized));
-       }},
+       },
+       thin},
       {"rebuild-budget (seized-spare window)",
        [&cfg](const SeizedSpare& o) {
          return dummy_budget_attack(ThinMetadataReader(o.s0),
                                     ThinMetadataReader(o.seized),
                                     cfg.lambda);
-       }},
+       },
+       thin},
       // Changed blocks of the seized prefix against twice the publicly
       // accountable payload.
       {"rebuild-blockdiff (seized prefix)",

@@ -15,22 +15,11 @@
 // a sensitive file (plus the paper's equal-size cover discipline), in the
 // cover world store the plausible public equivalent; rebuild onto a spare
 // to ~half the device under foreground traffic and let the adversary seize
-// it; finish the rebuild. The distinguishers guess the world from the
-// border snapshot S0 and the seized spare prefix:
-//
-//   * rebuild-anygrowth — any fresh non-public chunk in the NARROW window
-//     S0 -> mid that the spare opens. Without dummy writes that chunk is
-//     unaccountable, so this is what catches MobiPluto (advantage ~ 1/2);
-//     MobiCeal's dummies make non-public growth routine in both worlds.
-//   * rebuild-budget — the paper-faithful dummy-budget attack on the same
-//     window, reported alongside.
-//   * rebuild-blockdiff — needs no thin metadata: the raw changed-block
-//     count of the seized prefix against twice the payload the user
-//     accounts for in the window. Equal-size discipline keeps the totals
-//     world-independent, so it should stay near noise for every scheme.
-//
-// The thin-metadata distinguishers never apply to schemes without a thin
-// pool (Mobiflage) and tally 0/0 there.
+// it; finish the rebuild. Three distinguishers (docs/ADVERSARY.md, Game 3)
+// guess the world from the border snapshot S0 and the seized spare prefix:
+// two read the thin metadata of the narrow S0 -> mid window (and never
+// apply to Mobiflage, which has no thin pool), one counts raw changed
+// blocks against the payload the user accounts for.
 #pragma once
 
 #include <cstdint>
@@ -39,9 +28,8 @@
 
 namespace mobiceal::adversary {
 
-/// The user plays one window of `public_files_per_round` files; `rounds`
-/// does not apply.
-struct RebuildGameConfig : GameConfig {
+/// The user plays one round (`public_files_per_round` files) in the window.
+struct RebuildGameConfig : GameSetup {
   RebuildGameConfig() {
     trials = 16;
     public_files_per_round = 8;

@@ -88,6 +88,7 @@ TEST(MetadataReader, ParsesMobiCealPoolFromRawSnapshot) {
   dev->reboot();
 
   const auto snap = Snapshot::take(*disk);
+  EXPECT_TRUE(adversary::has_thin_pool(snap));
   adversary::ThinMetadataReader reader(snap);
   EXPECT_EQ(reader.policy(), thin::AllocPolicy::kRandom);
   EXPECT_EQ(reader.superblock().max_volumes, 6u);
@@ -103,6 +104,7 @@ TEST(MetadataReader, ParsesMobiCealPoolFromRawSnapshot) {
 TEST(MetadataReader, RejectsGarbageImages) {
   blockdev::MemBlockDevice dev(64);
   const auto snap = Snapshot::take(dev);
+  EXPECT_FALSE(adversary::has_thin_pool(snap));
   EXPECT_THROW(adversary::ThinMetadataReader r(snap), util::MetadataError);
 }
 
@@ -347,9 +349,10 @@ TEST(GameParity, FtlGame) {
 
 // ---- the game harness -----------------------------------------------------------------------
 
-TEST(Game, RecordsEveryTrialInOrderAndSkipsInapplicableVerdicts) {
+TEST(Game, RecordsEveryTrialInOrderAndSkipsInapplicableDistinguishers) {
   // World: the observation is the world bit itself. One distinguisher reads
-  // it perfectly, one never applies, one applies only to hidden worlds.
+  // it perfectly; one never applies (its test rejects the first
+  // observation), so it records no verdict in any trial.
   adversary::Game<bool> game;
   game.world = [](bool hidden_world, std::uint64_t, util::Rng&) {
     return hidden_world;
@@ -360,53 +363,67 @@ TEST(Game, RecordsEveryTrialInOrderAndSkipsInapplicableVerdicts) {
     r.statistic = statistic;
     return r;
   };
+  int blind_calls = 0;
   game.distinguishers = {
       {"oracle", [&](const bool& hidden) { return report(hidden, 1.0); }},
       {"blind",
-       [](const bool&) -> adversary::AttackReport {
-         throw util::MetadataError("nothing to parse");
-       }},
-      {"hidden-only",
-       [&](const bool& hidden) {
-         if (!hidden) throw util::MetadataError("cover world");
-         return report(false, 2.0);
-       }},
+       [&](const bool&) {
+         ++blind_calls;
+         return report(true, 0.0);
+       },
+       [](const bool&) { return false; }},
   };
   const adversary::GameResult r = game.play(16, 42);
 
   ASSERT_EQ(r.trials.size(), 16u);
   std::uint64_t hidden_trials = 0;
   for (const auto& t : r.trials) {
-    ASSERT_EQ(t.verdicts.size(), 3u);
+    ASSERT_EQ(t.verdicts.size(), 2u);
     ASSERT_TRUE(t.verdicts[0].has_value());
     EXPECT_EQ(t.verdicts[0]->suspects_hidden_data, t.hidden_world);
     EXPECT_FALSE(t.verdicts[1].has_value());
-    EXPECT_EQ(t.verdicts[2].has_value(), t.hidden_world);
     hidden_trials += t.hidden_world ? 1 : 0;
   }
   ASSERT_GT(hidden_trials, 0u);
   ASSERT_LT(hidden_trials, 16u);
+  EXPECT_EQ(blind_calls, 0);
 
   EXPECT_EQ(r.distinguisher("oracle").correct, 16u);
   EXPECT_EQ(r.distinguisher("oracle").trials, 16u);
   EXPECT_DOUBLE_EQ(r.distinguisher("oracle").advantage(), 0.5);
   EXPECT_EQ(r.distinguisher("blind").trials, 0u);
   EXPECT_DOUBLE_EQ(r.distinguisher("blind").advantage(), 0.0);
-  EXPECT_EQ(r.distinguisher("hidden-only").trials, hidden_trials);
-  EXPECT_EQ(r.distinguisher("hidden-only").correct, 0u);
   EXPECT_DOUBLE_EQ(r.max_advantage(), 0.5);
+  EXPECT_FALSE(r.all_applied());
   EXPECT_THROW(r.distinguisher("missing"), std::out_of_range);
 
-  EXPECT_EQ(r.statistic("hidden-only", true).count(), hidden_trials);
-  EXPECT_DOUBLE_EQ(r.statistic("hidden-only", true).mean(), 2.0);
-  EXPECT_EQ(r.statistic("hidden-only", false).count(), 0u);
+  EXPECT_EQ(r.statistic("oracle", true).count(), hidden_trials);
   EXPECT_EQ(r.statistic("oracle", false).count(), 16u - hidden_trials);
+  EXPECT_EQ(r.statistic("blind", true).count(), 0u);
 
   // Same seed, same record.
   const adversary::GameResult again = game.play(16, 42);
   for (std::size_t t = 0; t < r.trials.size(); ++t) {
     EXPECT_EQ(again.trials[t].hidden_world, r.trials[t].hidden_world);
   }
+}
+
+TEST(Game, AnApplicableDistinguisherMustJudgeEveryTrial) {
+  // Applicability is decided on the first trial; a distinguisher that
+  // applies and later cannot read its observation ends the game instead of
+  // dropping the trial.
+  adversary::Game<bool> game;
+  game.world = [](bool hidden_world, std::uint64_t, util::Rng&) {
+    return hidden_world;
+  };
+  game.distinguishers = {
+      {"hidden-only",
+       [](const bool& hidden) {
+         if (!hidden) throw util::MetadataError("cover world");
+         return adversary::AttackReport{};
+       }},
+  };
+  EXPECT_THROW(game.play(16, 42), util::MetadataError);
 }
 
 TEST(Game, ThinDistinguishersDoNotApplyWithoutAThinPool) {
