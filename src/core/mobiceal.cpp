@@ -241,12 +241,7 @@ util::Bytes MobiCealDevice::make_password_block(const std::string& password,
 
   const auto cipher = crypto::make_sector_cipher(config_.cipher_spec, key);
   util::Bytes out(bs);
-  const std::size_t sectors = bs / blockdev::kSectorSize;
-  for (std::size_t s = 0; s < sectors; ++s) {
-    cipher->encrypt_sector(
-        s, {plain.data() + s * blockdev::kSectorSize, blockdev::kSectorSize},
-        {out.data() + s * blockdev::kSectorSize, blockdev::kSectorSize});
-  }
+  cipher->encrypt_range(0, blockdev::kSectorSize, plain, out);
   return out;
 }
 
@@ -255,15 +250,10 @@ bool MobiCealDevice::verify_hidden_password(const std::string& password,
                                             util::ByteSpan key) {
   auto vol = pool_->open_thin(thin_id(paper_k));
   const std::size_t bs = vol->block_size();
-  util::Bytes ct(bs), plain(bs);
-  vol->read_block(0, ct);
+  util::Bytes plain(bs);
+  vol->read_block(0, plain);
   const auto cipher = crypto::make_sector_cipher(config_.cipher_spec, key);
-  const std::size_t sectors = bs / blockdev::kSectorSize;
-  for (std::size_t s = 0; s < sectors; ++s) {
-    cipher->decrypt_sector(
-        s, {ct.data() + s * blockdev::kSectorSize, blockdev::kSectorSize},
-        {plain.data() + s * blockdev::kSectorSize, blockdev::kSectorSize});
-  }
+  cipher->decrypt_range(0, blockdev::kSectorSize, plain, plain);
   if (util::load_le<std::uint32_t>(plain.data()) != kPasswordBlockMagic) {
     return false;
   }

@@ -1,5 +1,8 @@
 #include "crypto/aes.hpp"
 
+#include <cstring>
+
+#include "crypto/aes_backend.hpp"
 #include "util/error.hpp"
 
 namespace mobiceal::crypto {
@@ -120,57 +123,76 @@ Aes::Aes(util::ByteSpan key) {
     throw util::CryptoError("AES key must be 16, 24 or 32 bytes");
   }
   key_bits_ = key.size() * 8;
-  rounds_ = nk + 6;
-  const std::size_t nw = 4 * (rounds_ + 1);
+  ks_.rounds = nk + 6;
+  const std::size_t nw = 4 * (ks_.rounds + 1);
+  auto& enc = ks_.enc;
+  auto& dec = ks_.dec;
 
   for (std::size_t i = 0; i < nk; ++i) {
-    enc_keys_[i] = util::load_be32(key.data() + 4 * i);
+    enc[i] = util::load_be32(key.data() + 4 * i);
   }
   for (std::size_t i = nk; i < nw; ++i) {
-    std::uint32_t temp = enc_keys_[i - 1];
+    std::uint32_t temp = enc[i - 1];
     if (i % nk == 0) {
       temp = sub_word(rot_word(temp)) ^ kRcon[i / nk];
     } else if (nk > 6 && i % nk == 4) {
       temp = sub_word(temp);
     }
-    enc_keys_[i] = enc_keys_[i - nk] ^ temp;
+    enc[i] = enc[i - nk] ^ temp;
   }
 
   // Decryption schedule: reversed round keys with InvMixColumns applied to
   // the middle rounds (equivalent inverse cipher, FIPS-197 §5.3.5).
   for (std::size_t i = 0; i < nw; ++i) {
-    dec_keys_[i] = enc_keys_[nw - 4 - 4 * (i / 4) + (i % 4)];
+    dec[i] = enc[nw - 4 - 4 * (i / 4) + (i % 4)];
   }
   for (std::size_t i = 4; i < nw - 4; ++i) {
-    dec_keys_[i] = inv_mix_word(dec_keys_[i]);
+    dec[i] = inv_mix_word(dec[i]);
+  }
+  for (std::size_t i = 0; i < nw; ++i) {
+    util::store_be32(ks_.enc_bytes.data() + 4 * i, enc[i]);
+    util::store_be32(ks_.dec_bytes.data() + 4 * i, dec[i]);
   }
 }
 
 void Aes::encrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
+  detail::active_backend().ecb_encrypt(ks_, in, out, 1);
+}
+
+void Aes::decrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
+  detail::active_backend().ecb_decrypt(ks_, in, out, 1);
+}
+
+namespace detail {
+namespace {
+
+void soft_encrypt_block(const AesSchedule& ks, const std::uint8_t in[16],
+                        std::uint8_t out[16]) {
   const auto& t = tables();
-  std::uint32_t s0 = util::load_be32(in) ^ enc_keys_[0];
-  std::uint32_t s1 = util::load_be32(in + 4) ^ enc_keys_[1];
-  std::uint32_t s2 = util::load_be32(in + 8) ^ enc_keys_[2];
-  std::uint32_t s3 = util::load_be32(in + 12) ^ enc_keys_[3];
+  const auto& rk = ks.enc;
+  std::uint32_t s0 = util::load_be32(in) ^ rk[0];
+  std::uint32_t s1 = util::load_be32(in + 4) ^ rk[1];
+  std::uint32_t s2 = util::load_be32(in + 8) ^ rk[2];
+  std::uint32_t s3 = util::load_be32(in + 12) ^ rk[3];
 
   std::size_t k = 4;
-  for (std::size_t round = 1; round < rounds_; ++round, k += 4) {
+  for (std::size_t round = 1; round < ks.rounds; ++round, k += 4) {
     const std::uint32_t t0 = t.Te0[(s0 >> 24) & 0xFF] ^
                              t.Te1[(s1 >> 16) & 0xFF] ^
                              t.Te2[(s2 >> 8) & 0xFF] ^ t.Te3[s3 & 0xFF] ^
-                             enc_keys_[k];
+                             rk[k];
     const std::uint32_t t1 = t.Te0[(s1 >> 24) & 0xFF] ^
                              t.Te1[(s2 >> 16) & 0xFF] ^
                              t.Te2[(s3 >> 8) & 0xFF] ^ t.Te3[s0 & 0xFF] ^
-                             enc_keys_[k + 1];
+                             rk[k + 1];
     const std::uint32_t t2 = t.Te0[(s2 >> 24) & 0xFF] ^
                              t.Te1[(s3 >> 16) & 0xFF] ^
                              t.Te2[(s0 >> 8) & 0xFF] ^ t.Te3[s1 & 0xFF] ^
-                             enc_keys_[k + 2];
+                             rk[k + 2];
     const std::uint32_t t3 = t.Te0[(s3 >> 24) & 0xFF] ^
                              t.Te1[(s0 >> 16) & 0xFF] ^
                              t.Te2[(s1 >> 8) & 0xFF] ^ t.Te3[s2 & 0xFF] ^
-                             enc_keys_[k + 3];
+                             rk[k + 3];
     s0 = t0;
     s1 = t1;
     s2 = t2;
@@ -195,37 +217,39 @@ void Aes::encrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
                            (std::uint32_t{sb[(s0 >> 16) & 0xFF]} << 16) |
                            (std::uint32_t{sb[(s1 >> 8) & 0xFF]} << 8) |
                            std::uint32_t{sb[s2 & 0xFF]};
-  util::store_be32(out, r0 ^ enc_keys_[k]);
-  util::store_be32(out + 4, r1 ^ enc_keys_[k + 1]);
-  util::store_be32(out + 8, r2 ^ enc_keys_[k + 2]);
-  util::store_be32(out + 12, r3 ^ enc_keys_[k + 3]);
+  util::store_be32(out, r0 ^ rk[k]);
+  util::store_be32(out + 4, r1 ^ rk[k + 1]);
+  util::store_be32(out + 8, r2 ^ rk[k + 2]);
+  util::store_be32(out + 12, r3 ^ rk[k + 3]);
 }
 
-void Aes::decrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
+void soft_decrypt_block(const AesSchedule& ks, const std::uint8_t in[16],
+                        std::uint8_t out[16]) {
   const auto& t = tables();
-  std::uint32_t s0 = util::load_be32(in) ^ dec_keys_[0];
-  std::uint32_t s1 = util::load_be32(in + 4) ^ dec_keys_[1];
-  std::uint32_t s2 = util::load_be32(in + 8) ^ dec_keys_[2];
-  std::uint32_t s3 = util::load_be32(in + 12) ^ dec_keys_[3];
+  const auto& rk = ks.dec;
+  std::uint32_t s0 = util::load_be32(in) ^ rk[0];
+  std::uint32_t s1 = util::load_be32(in + 4) ^ rk[1];
+  std::uint32_t s2 = util::load_be32(in + 8) ^ rk[2];
+  std::uint32_t s3 = util::load_be32(in + 12) ^ rk[3];
 
   std::size_t k = 4;
-  for (std::size_t round = 1; round < rounds_; ++round, k += 4) {
+  for (std::size_t round = 1; round < ks.rounds; ++round, k += 4) {
     const std::uint32_t t0 = t.Td0[(s0 >> 24) & 0xFF] ^
                              t.Td1[(s3 >> 16) & 0xFF] ^
                              t.Td2[(s2 >> 8) & 0xFF] ^ t.Td3[s1 & 0xFF] ^
-                             dec_keys_[k];
+                             rk[k];
     const std::uint32_t t1 = t.Td0[(s1 >> 24) & 0xFF] ^
                              t.Td1[(s0 >> 16) & 0xFF] ^
                              t.Td2[(s3 >> 8) & 0xFF] ^ t.Td3[s2 & 0xFF] ^
-                             dec_keys_[k + 1];
+                             rk[k + 1];
     const std::uint32_t t2 = t.Td0[(s2 >> 24) & 0xFF] ^
                              t.Td1[(s1 >> 16) & 0xFF] ^
                              t.Td2[(s0 >> 8) & 0xFF] ^ t.Td3[s3 & 0xFF] ^
-                             dec_keys_[k + 2];
+                             rk[k + 2];
     const std::uint32_t t3 = t.Td0[(s3 >> 24) & 0xFF] ^
                              t.Td1[(s2 >> 16) & 0xFF] ^
                              t.Td2[(s1 >> 8) & 0xFF] ^ t.Td3[s0 & 0xFF] ^
-                             dec_keys_[k + 3];
+                             rk[k + 3];
     s0 = t0;
     s1 = t1;
     s2 = t2;
@@ -249,10 +273,101 @@ void Aes::decrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
                            (std::uint32_t{isb[(s2 >> 16) & 0xFF]} << 16) |
                            (std::uint32_t{isb[(s1 >> 8) & 0xFF]} << 8) |
                            std::uint32_t{isb[s0 & 0xFF]};
-  util::store_be32(out, r0 ^ dec_keys_[k]);
-  util::store_be32(out + 4, r1 ^ dec_keys_[k + 1]);
-  util::store_be32(out + 8, r2 ^ dec_keys_[k + 2]);
-  util::store_be32(out + 12, r3 ^ dec_keys_[k + 3]);
+  util::store_be32(out, r0 ^ rk[k]);
+  util::store_be32(out + 4, r1 ^ rk[k + 1]);
+  util::store_be32(out + 8, r2 ^ rk[k + 2]);
+  util::store_be32(out + 12, r3 ^ rk[k + 3]);
 }
 
+void soft_ecb_encrypt(const AesSchedule& ks, const std::uint8_t* in,
+                      std::uint8_t* out, std::size_t blocks) {
+  for (std::size_t b = 0; b < blocks; ++b) {
+    soft_encrypt_block(ks, in + 16 * b, out + 16 * b);
+  }
+}
+
+void soft_ecb_decrypt(const AesSchedule& ks, const std::uint8_t* in,
+                      std::uint8_t* out, std::size_t blocks) {
+  for (std::size_t b = 0; b < blocks; ++b) {
+    soft_decrypt_block(ks, in + 16 * b, out + 16 * b);
+  }
+}
+
+void soft_cbc_encrypt(const AesSchedule& ks, const std::uint8_t* ivs,
+                      std::size_t units, std::size_t len,
+                      const std::uint8_t* in, std::uint8_t* out) {
+  for (std::size_t u = 0; u < units; ++u) {
+    std::uint8_t chain[16];
+    std::memcpy(chain, ivs + 16 * u, 16);
+    for (std::size_t at = u * len; at < (u + 1) * len; at += 16) {
+      for (int i = 0; i < 16; ++i) chain[i] ^= in[at + i];
+      soft_encrypt_block(ks, chain, chain);
+      std::memcpy(out + at, chain, 16);
+    }
+  }
+}
+
+void soft_cbc_decrypt(const AesSchedule& ks, const std::uint8_t* ivs,
+                      std::size_t units, std::size_t len,
+                      const std::uint8_t* in, std::uint8_t* out) {
+  for (std::size_t u = 0; u < units; ++u) {
+    std::uint8_t chain[16];
+    std::memcpy(chain, ivs + 16 * u, 16);
+    for (std::size_t at = u * len; at < (u + 1) * len; at += 16) {
+      std::uint8_t ct[16];
+      std::memcpy(ct, in + at, 16);  // allow in-place
+      std::uint8_t block[16];
+      soft_decrypt_block(ks, ct, block);
+      for (int i = 0; i < 16; ++i) out[at + i] = block[i] ^ chain[i];
+      std::memcpy(chain, ct, 16);
+    }
+  }
+}
+
+// GF(2^128) doubling for the XTS tweak, little-endian per IEEE 1619.
+void gf128_double_le(std::uint8_t t[16]) {
+  const std::uint8_t carry = t[15] >> 7;
+  for (int i = 15; i > 0; --i) {
+    t[i] = static_cast<std::uint8_t>((t[i] << 1) | (t[i - 1] >> 7));
+  }
+  t[0] = static_cast<std::uint8_t>(t[0] << 1);
+  if (carry) t[0] ^= 0x87;
+}
+
+template <bool kEncrypt>
+void soft_xts(const AesSchedule& ks, const std::uint8_t* tweaks,
+              std::size_t units, std::size_t len, const std::uint8_t* in,
+              std::uint8_t* out) {
+  for (std::size_t u = 0; u < units; ++u) {
+    std::uint8_t tweak[16];
+    std::memcpy(tweak, tweaks + 16 * u, 16);
+    for (std::size_t at = u * len; at < (u + 1) * len; at += 16) {
+      std::uint8_t block[16];
+      for (int i = 0; i < 16; ++i) block[i] = in[at + i] ^ tweak[i];
+      if constexpr (kEncrypt) {
+        soft_encrypt_block(ks, block, block);
+      } else {
+        soft_decrypt_block(ks, block, block);
+      }
+      for (int i = 0; i < 16; ++i) out[at + i] = block[i] ^ tweak[i];
+      gf128_double_le(tweak);
+    }
+  }
+}
+
+constexpr AesBackend kSoftware{
+    "software",       soft_ecb_encrypt, soft_ecb_decrypt, soft_cbc_encrypt,
+    soft_cbc_decrypt, soft_xts<true>,   soft_xts<false>};
+
+}  // namespace
+
+const AesBackend& software_backend() noexcept { return kSoftware; }
+
+const AesBackend& active_backend() noexcept {
+  static const AesBackend& chosen =
+      hardware_backend() ? *hardware_backend() : software_backend();
+  return chosen;
+}
+
+}  // namespace detail
 }  // namespace mobiceal::crypto

@@ -1,7 +1,9 @@
 #include "crypto/modes.hpp"
 
+#include <algorithm>
 #include <cstring>
 
+#include "crypto/aes_backend.hpp"
 #include "crypto/sha.hpp"
 #include "util/error.hpp"
 
@@ -22,30 +24,18 @@ void cbc_encrypt(const Aes& aes, util::ByteSpan iv, util::ByteSpan plaintext,
                  util::MutByteSpan ciphertext) {
   check_aligned(plaintext, ciphertext);
   if (iv.size() != kAesBlockSize) throw util::CryptoError("cbc: bad IV size");
-  std::uint8_t chain[16];
-  std::memcpy(chain, iv.data(), 16);
-  for (std::size_t off = 0; off < plaintext.size(); off += 16) {
-    std::uint8_t block[16];
-    for (int i = 0; i < 16; ++i) block[i] = plaintext[off + i] ^ chain[i];
-    aes.encrypt_block(block, ciphertext.data() + off);
-    std::memcpy(chain, ciphertext.data() + off, 16);
-  }
+  detail::active_backend().cbc_encrypt(aes.schedule(), iv.data(), 1,
+                                       plaintext.size(), plaintext.data(),
+                                       ciphertext.data());
 }
 
 void cbc_decrypt(const Aes& aes, util::ByteSpan iv, util::ByteSpan ciphertext,
                  util::MutByteSpan plaintext) {
   check_aligned(ciphertext, plaintext);
   if (iv.size() != kAesBlockSize) throw util::CryptoError("cbc: bad IV size");
-  std::uint8_t chain[16];
-  std::memcpy(chain, iv.data(), 16);
-  for (std::size_t off = 0; off < ciphertext.size(); off += 16) {
-    std::uint8_t ct[16];
-    std::memcpy(ct, ciphertext.data() + off, 16);  // allow in-place
-    std::uint8_t block[16];
-    aes.decrypt_block(ct, block);
-    for (int i = 0; i < 16; ++i) plaintext[off + i] = block[i] ^ chain[i];
-    std::memcpy(chain, ct, 16);
-  }
+  detail::active_backend().cbc_decrypt(aes.schedule(), iv.data(), 1,
+                                       ciphertext.size(), ciphertext.data(),
+                                       plaintext.data());
 }
 
 void ctr_xcrypt(const Aes& aes, util::ByteSpan nonce, util::ByteSpan in,
@@ -70,90 +60,6 @@ void ctr_xcrypt(const Aes& aes, util::ByteSpan nonce, util::ByteSpan in,
   }
 }
 
-CbcEssivCipher::CbcEssivCipher(util::ByteSpan key)
-    : data_aes_(key), essiv_aes_(Sha256::digest(key)) {}
-
-void CbcEssivCipher::make_iv(std::uint64_t sector, std::uint8_t iv[16]) const {
-  std::uint8_t plain[16] = {};
-  util::store_le<std::uint64_t>(plain, sector);
-  essiv_aes_.encrypt_block(plain, iv);
-}
-
-void CbcEssivCipher::encrypt_sector(std::uint64_t sector, util::ByteSpan in,
-                                    util::MutByteSpan out) const {
-  std::uint8_t iv[16];
-  make_iv(sector, iv);
-  cbc_encrypt(data_aes_, {iv, 16}, in, out);
-}
-
-void CbcEssivCipher::decrypt_sector(std::uint64_t sector, util::ByteSpan in,
-                                    util::MutByteSpan out) const {
-  std::uint8_t iv[16];
-  make_iv(sector, iv);
-  cbc_decrypt(data_aes_, {iv, 16}, in, out);
-}
-
-namespace {
-// GF(2^128) doubling for the XTS tweak, little-endian per IEEE 1619.
-void gf128_double_le(std::uint8_t t[16]) {
-  const std::uint8_t carry = t[15] >> 7;
-  for (int i = 15; i > 0; --i) {
-    t[i] = static_cast<std::uint8_t>((t[i] << 1) | (t[i - 1] >> 7));
-  }
-  t[0] = static_cast<std::uint8_t>(t[0] << 1);
-  if (carry) t[0] ^= 0x87;
-}
-}  // namespace
-
-XtsCipher::XtsCipher(util::ByteSpan key)
-    : data_aes_([&] {
-        if (key.size() != 32 && key.size() != 64) {
-          throw util::CryptoError("xts: key must be 32 or 64 bytes");
-        }
-        return util::ByteSpan{key.data(), key.size() / 2};
-      }()),
-      tweak_aes_(util::ByteSpan{key.data() + key.size() / 2, key.size() / 2}) {}
-
-void XtsCipher::encrypt_sector(std::uint64_t sector, util::ByteSpan in,
-                               util::MutByteSpan out) const {
-  check_aligned(in, out);
-  std::uint8_t tweak[16] = {};
-  util::store_le<std::uint64_t>(tweak, sector);
-  tweak_aes_.encrypt_block(tweak, tweak);
-  for (std::size_t off = 0; off < in.size(); off += 16) {
-    std::uint8_t block[16];
-    for (int i = 0; i < 16; ++i) block[i] = in[off + i] ^ tweak[i];
-    data_aes_.encrypt_block(block, block);
-    for (int i = 0; i < 16; ++i) out[off + i] = block[i] ^ tweak[i];
-    gf128_double_le(tweak);
-  }
-}
-
-void XtsCipher::decrypt_sector(std::uint64_t sector, util::ByteSpan in,
-                               util::MutByteSpan out) const {
-  check_aligned(in, out);
-  std::uint8_t tweak[16] = {};
-  util::store_le<std::uint64_t>(tweak, sector);
-  tweak_aes_.encrypt_block(tweak, tweak);
-  for (std::size_t off = 0; off < in.size(); off += 16) {
-    std::uint8_t block[16];
-    for (int i = 0; i < 16; ++i) block[i] = in[off + i] ^ tweak[i];
-    data_aes_.decrypt_block(block, block);
-    for (int i = 0; i < 16; ++i) out[off + i] = block[i] ^ tweak[i];
-    gf128_double_le(tweak);
-  }
-}
-
-void NullCipher::encrypt_sector(std::uint64_t, util::ByteSpan in,
-                                util::MutByteSpan out) const {
-  if (in.data() != out.data()) std::memcpy(out.data(), in.data(), in.size());
-}
-
-void NullCipher::decrypt_sector(std::uint64_t, util::ByteSpan in,
-                                util::MutByteSpan out) const {
-  if (in.data() != out.data()) std::memcpy(out.data(), in.data(), in.size());
-}
-
 namespace {
 void check_range_args(std::size_t sector_size, util::ByteSpan in,
                       util::MutByteSpan out) {
@@ -167,28 +73,108 @@ void check_range_args(std::size_t sector_size, util::ByteSpan in,
     throw util::CryptoError("sector range: length not multiple of sector");
   }
 }
+
+/// Runs `kernel` over a sector range. Sector s starts from
+/// E_{start}(s as a zero-padded little-endian 64-bit number) — the ESSIV
+/// IV and the plain64 XTS tweak alike — and those start values are
+/// computed a batch at a time, so the backend can interleave them too.
+void run_sectors(const detail::AesBackend& backend, detail::UnitKernel kernel,
+                 const Aes& data, const Aes& start, std::uint64_t first_sector,
+                 std::size_t sector_size, util::ByteSpan in,
+                 util::MutByteSpan out) {
+  constexpr std::size_t kBatch = 64;
+  std::uint8_t starts[kBatch * kAesBlockSize];
+  const std::size_t sectors = in.size() / sector_size;
+  for (std::size_t s = 0; s < sectors; s += kBatch) {
+    const std::size_t n = std::min(kBatch, sectors - s);
+    std::memset(starts, 0, n * kAesBlockSize);
+    for (std::size_t i = 0; i < n; ++i) {
+      util::store_le<std::uint64_t>(starts + i * kAesBlockSize,
+                                    first_sector + s + i);
+    }
+    backend.ecb_encrypt(start.schedule(), starts, starts, n);
+    kernel(data.schedule(), starts, n, sector_size,
+           in.data() + s * sector_size, out.data() + s * sector_size);
+  }
+}
+
+util::ByteSpan xts_half(util::ByteSpan key, bool tweak) {
+  if (key.size() != 32 && key.size() != 64) {
+    throw util::CryptoError("xts: key must be 32 or 64 bytes");
+  }
+  return {key.data() + (tweak ? key.size() / 2 : 0), key.size() / 2};
+}
 }  // namespace
 
 void SectorCipher::encrypt_range(std::uint64_t first_sector,
                                  std::size_t sector_size, util::ByteSpan in,
                                  util::MutByteSpan out) const {
   check_range_args(sector_size, in, out);
-  for (std::size_t off = 0; off < in.size(); off += sector_size) {
-    encrypt_sector(first_sector + off / sector_size,
-                   {in.data() + off, sector_size},
-                   {out.data() + off, sector_size});
-  }
+  do_encrypt_range(first_sector, sector_size, in, out);
 }
 
 void SectorCipher::decrypt_range(std::uint64_t first_sector,
                                  std::size_t sector_size, util::ByteSpan in,
                                  util::MutByteSpan out) const {
   check_range_args(sector_size, in, out);
-  for (std::size_t off = 0; off < in.size(); off += sector_size) {
-    decrypt_sector(first_sector + off / sector_size,
-                   {in.data() + off, sector_size},
-                   {out.data() + off, sector_size});
-  }
+  do_decrypt_range(first_sector, sector_size, in, out);
+}
+
+CbcEssivCipher::CbcEssivCipher(util::ByteSpan key)
+    : CbcEssivCipher(key, detail::active_backend()) {}
+
+CbcEssivCipher::CbcEssivCipher(util::ByteSpan key,
+                               const detail::AesBackend& backend)
+    : backend_(backend), data_aes_(key), essiv_aes_(Sha256::digest(key)) {}
+
+void CbcEssivCipher::do_encrypt_range(std::uint64_t first_sector,
+                                      std::size_t sector_size,
+                                      util::ByteSpan in,
+                                      util::MutByteSpan out) const {
+  run_sectors(backend_, backend_.cbc_encrypt, data_aes_, essiv_aes_,
+              first_sector, sector_size, in, out);
+}
+
+void CbcEssivCipher::do_decrypt_range(std::uint64_t first_sector,
+                                      std::size_t sector_size,
+                                      util::ByteSpan in,
+                                      util::MutByteSpan out) const {
+  run_sectors(backend_, backend_.cbc_decrypt, data_aes_, essiv_aes_,
+              first_sector, sector_size, in, out);
+}
+
+XtsCipher::XtsCipher(util::ByteSpan key)
+    : XtsCipher(key, detail::active_backend()) {}
+
+XtsCipher::XtsCipher(util::ByteSpan key, const detail::AesBackend& backend)
+    : backend_(backend),
+      data_aes_(xts_half(key, /*tweak=*/false)),
+      tweak_aes_(xts_half(key, /*tweak=*/true)) {}
+
+void XtsCipher::do_encrypt_range(std::uint64_t first_sector,
+                                 std::size_t sector_size, util::ByteSpan in,
+                                 util::MutByteSpan out) const {
+  run_sectors(backend_, backend_.xts_encrypt, data_aes_, tweak_aes_,
+              first_sector, sector_size, in, out);
+}
+
+void XtsCipher::do_decrypt_range(std::uint64_t first_sector,
+                                 std::size_t sector_size, util::ByteSpan in,
+                                 util::MutByteSpan out) const {
+  run_sectors(backend_, backend_.xts_decrypt, data_aes_, tweak_aes_,
+              first_sector, sector_size, in, out);
+}
+
+void NullCipher::do_encrypt_range(std::uint64_t, std::size_t,
+                                  util::ByteSpan in,
+                                  util::MutByteSpan out) const {
+  if (in.data() != out.data()) std::memcpy(out.data(), in.data(), in.size());
+}
+
+void NullCipher::do_decrypt_range(std::uint64_t, std::size_t,
+                                  util::ByteSpan in,
+                                  util::MutByteSpan out) const {
+  if (in.data() != out.data()) std::memcpy(out.data(), in.data(), in.size());
 }
 
 std::unique_ptr<SectorCipher> make_sector_cipher(const std::string& spec,

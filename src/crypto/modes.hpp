@@ -31,32 +31,40 @@ void cbc_decrypt(const Aes& aes, util::ByteSpan iv, util::ByteSpan ciphertext,
 void ctr_xcrypt(const Aes& aes, util::ByteSpan nonce, util::ByteSpan in,
                 util::MutByteSpan out);
 
-/// Per-sector cipher: encrypts/decrypts one sector addressed by its logical
+namespace detail {
+struct AesBackend;
+}  // namespace detail
+
+/// Per-sector cipher: encrypts/decrypts sectors addressed by their logical
 /// sector number. This is the exact abstraction dm-crypt implements in the
-/// kernel; dm::CryptTarget wraps one of these.
+/// kernel; dm::CryptTarget wraps one of these. A whole run of sectors is
+/// the unit of work, so a cipher can interleave independent sectors.
 class SectorCipher {
  public:
   virtual ~SectorCipher() = default;
 
-  /// Encrypt one sector. `sector` is the logical 512-byte-sector index used
-  /// for IV/tweak derivation. in.size() == out.size(), multiple of 16.
-  virtual void encrypt_sector(std::uint64_t sector, util::ByteSpan in,
-                              util::MutByteSpan out) const = 0;
-  virtual void decrypt_sector(std::uint64_t sector, util::ByteSpan in,
-                              util::MutByteSpan out) const = 0;
-
-  /// Batched range transform: processes `in.size() / sector_size` consecutive
+  /// Range transform: processes `in.size() / sector_size` consecutive
   /// sectors starting at `first_sector` in one call. Sector s of the buffer
   /// uses IV/tweak `first_sector + s`, so the ciphertext is bit-identical to
-  /// a per-sector loop — callers (dm::CryptTarget's vectored path) batch for
-  /// throughput, never for different bytes. Throws util::CryptoError on
-  /// size mismatch or a buffer not a multiple of sector_size.
+  /// a per-sector loop and to any split of the range — callers batch for
+  /// throughput, never for different bytes. In-place (in == out) is allowed.
+  /// Throws util::CryptoError on size mismatch or a buffer not a multiple of
+  /// sector_size (itself a nonzero multiple of 16).
   void encrypt_range(std::uint64_t first_sector, std::size_t sector_size,
                      util::ByteSpan in, util::MutByteSpan out) const;
   void decrypt_range(std::uint64_t first_sector, std::size_t sector_size,
                      util::ByteSpan in, util::MutByteSpan out) const;
 
   virtual const char* name() const noexcept = 0;
+
+ private:
+  /// The only transform hooks; arguments are already checked.
+  virtual void do_encrypt_range(std::uint64_t first_sector,
+                                std::size_t sector_size, util::ByteSpan in,
+                                util::MutByteSpan out) const = 0;
+  virtual void do_decrypt_range(std::uint64_t first_sector,
+                                std::size_t sector_size, util::ByteSpan in,
+                                util::MutByteSpan out) const = 0;
 };
 
 /// aes-cbc-essiv:sha256 — IV for sector s is AES_{SHA256(key)}(s_le_padded).
@@ -64,14 +72,18 @@ class SectorCipher {
 class CbcEssivCipher final : public SectorCipher {
  public:
   explicit CbcEssivCipher(util::ByteSpan key);
-  void encrypt_sector(std::uint64_t sector, util::ByteSpan in,
-                      util::MutByteSpan out) const override;
-  void decrypt_sector(std::uint64_t sector, util::ByteSpan in,
-                      util::MutByteSpan out) const override;
+  /// Bound to one AES backend (tests; the default is the process's own).
+  CbcEssivCipher(util::ByteSpan key, const detail::AesBackend& backend);
   const char* name() const noexcept override { return "aes-cbc-essiv:sha256"; }
 
  private:
-  void make_iv(std::uint64_t sector, std::uint8_t iv[16]) const;
+  void do_encrypt_range(std::uint64_t first_sector, std::size_t sector_size,
+                        util::ByteSpan in,
+                        util::MutByteSpan out) const override;
+  void do_decrypt_range(std::uint64_t first_sector, std::size_t sector_size,
+                        util::ByteSpan in,
+                        util::MutByteSpan out) const override;
+  const detail::AesBackend& backend_;
   Aes data_aes_;
   Aes essiv_aes_;
 };
@@ -82,13 +94,18 @@ class XtsCipher final : public SectorCipher {
  public:
   /// `key` must be 32 or 64 bytes (two AES-128 or two AES-256 keys).
   explicit XtsCipher(util::ByteSpan key);
-  void encrypt_sector(std::uint64_t sector, util::ByteSpan in,
-                      util::MutByteSpan out) const override;
-  void decrypt_sector(std::uint64_t sector, util::ByteSpan in,
-                      util::MutByteSpan out) const override;
+  /// Bound to one AES backend (tests; the default is the process's own).
+  XtsCipher(util::ByteSpan key, const detail::AesBackend& backend);
   const char* name() const noexcept override { return "aes-xts-plain64"; }
 
  private:
+  void do_encrypt_range(std::uint64_t first_sector, std::size_t sector_size,
+                        util::ByteSpan in,
+                        util::MutByteSpan out) const override;
+  void do_decrypt_range(std::uint64_t first_sector, std::size_t sector_size,
+                        util::ByteSpan in,
+                        util::MutByteSpan out) const override;
+  const detail::AesBackend& backend_;
   Aes data_aes_;
   Aes tweak_aes_;
 };
@@ -97,11 +114,13 @@ class XtsCipher final : public SectorCipher {
 /// overhead itself in benchmarks (raw Ext4 rows of Table I).
 class NullCipher final : public SectorCipher {
  public:
-  void encrypt_sector(std::uint64_t, util::ByteSpan in,
-                      util::MutByteSpan out) const override;
-  void decrypt_sector(std::uint64_t, util::ByteSpan in,
-                      util::MutByteSpan out) const override;
   const char* name() const noexcept override { return "null"; }
+
+ private:
+  void do_encrypt_range(std::uint64_t, std::size_t, util::ByteSpan in,
+                        util::MutByteSpan out) const override;
+  void do_decrypt_range(std::uint64_t, std::size_t, util::ByteSpan in,
+                        util::MutByteSpan out) const override;
 };
 
 /// Factory by dm-crypt-style spec string: "aes-cbc-essiv:sha256",

@@ -93,6 +93,14 @@ std::uint64_t SecureRandom::next_u64() {
   return v;
 }
 
+void SecureRandom::fill(util::MutByteSpan out) {
+  if (pos_ % 8 == 0 && out.size() % 8 == 0) {
+    fill_bytes(out);
+  } else {
+    Rng::fill(out);
+  }
+}
+
 void SecureRandom::fill_bytes(util::MutByteSpan out) {
   std::size_t off = 0;
   while (off < out.size()) {

@@ -34,6 +34,11 @@ class SecureRandom final : public util::Rng {
 
   std::uint64_t next_u64() override;
 
+  /// Rng::fill on the bulk path: whole keystream words read from a word
+  /// boundary are exactly the bytes fill_bytes copies, so those fills go
+  /// there; any other fill takes the generic word loop.
+  void fill(util::MutByteSpan out) override;
+
   /// Fill a buffer with keystream bytes (bulk path for noise generation).
   void fill_bytes(util::MutByteSpan out);
 

@@ -96,9 +96,9 @@ void CryptTarget::do_read_blocks(std::uint64_t first, std::uint64_t count,
     read_pipelined(first, count, out);
     return;
   }
-  const util::MutByteSpan ct = scratch(ct_scratch_, out.size());
-  inner()->read_blocks(first, count, ct);
-  xform_range(/*encrypt=*/false, first * sectors_per_block_, ct, out);
+  // Ciphertext lands in the caller's buffer and is decrypted in place.
+  inner()->read_blocks(first, count, out);
+  xform_range(/*encrypt=*/false, first * sectors_per_block_, out, out);
   if (clock_) clock_->advance(cpu_.decrypt_ns_per_block * count);
 }
 
@@ -119,13 +119,13 @@ void CryptTarget::read_pipelined(std::uint64_t first, std::uint64_t count,
   // Submit every segment read up front — the lower stack keeps up to its
   // queue depth in flight — then decrypt in virtual completion order, so
   // decryption of the first-to-land segment overlaps the still-in-flight
-  // transfers of the rest.
+  // transfers of the rest. Each segment lands in `out` and is decrypted
+  // in place.
   struct Seg {
     std::uint64_t blk, blocks, done_ns;
     std::size_t off;
   };
   const std::size_t bs = block_size();
-  const util::MutByteSpan ct = scratch(ct_scratch_, out.size());
   std::vector<Seg> segs;
   segs.reserve((count + kPipelineBlocks - 1) / kPipelineBlocks);
   for (std::uint64_t b = 0; b < count; b += kPipelineBlocks) {
@@ -134,7 +134,7 @@ void CryptTarget::read_pipelined(std::uint64_t first, std::uint64_t count,
     req.op = blockdev::IoOp::kRead;
     req.first = first + b;
     req.count = n;
-    req.read_buf = {ct.data() + b * bs, static_cast<std::size_t>(n) * bs};
+    req.read_buf = {out.data() + b * bs, static_cast<std::size_t>(n) * bs};
     const auto r = inner()->submit(req);
     segs.push_back({first + b, n, r.complete_ns,
                     static_cast<std::size_t>(b) * bs});
@@ -145,9 +145,9 @@ void CryptTarget::read_pipelined(std::uint64_t first, std::uint64_t count,
                    });
   std::uint64_t last_done = 0;
   for (const Seg& s : segs) {
-    xform_range(/*encrypt=*/false, s.blk * sectors_per_block_,
-                {ct.data() + s.off, static_cast<std::size_t>(s.blocks) * bs},
-                {out.data() + s.off, static_cast<std::size_t>(s.blocks) * bs});
+    const util::MutByteSpan seg{out.data() + s.off,
+                                static_cast<std::size_t>(s.blocks) * bs};
+    xform_range(/*encrypt=*/false, s.blk * sectors_per_block_, seg, seg);
     last_done =
         lane_charge(s.done_ns, cpu_.decrypt_ns_per_block * s.blocks);
   }

@@ -120,7 +120,8 @@ class CryptTarget final : public blockdev::ForwardingDevice {
                       util::MutByteSpan out);
   void write_pipelined(std::uint64_t first, util::ByteSpan data);
 
-  /// Reusable ciphertext scratch, grown geometrically — the I/O paths do
+  /// Reusable ciphertext scratch for writes (the caller's plaintext is
+  /// const; reads decrypt in place), grown geometrically — the I/O paths do
   /// not allocate per call.
   util::MutByteSpan scratch(util::Bytes& buf, std::size_t n);
 
@@ -133,8 +134,8 @@ class CryptTarget final : public blockdev::ForwardingDevice {
   std::size_t sectors_per_block_;
   /// When each crypto lane frees up (virtual ns); cpu_.lanes entries.
   std::vector<std::uint64_t> lane_free_ns_;
-  /// Scratch buffers: `ct_scratch_` for the serial paths, the pipe pair
-  /// for double-buffered pipelined writes.
+  /// Scratch buffers: `ct_scratch_` for the serial write paths, the pipe
+  /// pair for double-buffered pipelined writes.
   util::Bytes ct_scratch_, pipe_scratch_[2];
 };
 

@@ -35,8 +35,10 @@ class Rng {
   /// Uniform double in [0, 1).
   double next_unit();
 
-  /// Fill a buffer with random bytes.
-  void fill(MutByteSpan out);
+  /// Fill a buffer with random bytes: little-endian next_u64() words, the
+  /// last word truncated. Overrides must produce the same bytes and leave
+  /// the generator in the same state.
+  virtual void fill(MutByteSpan out);
 };
 
 /// xoshiro256** by Blackman & Vigna — fast, high-quality, deterministic.

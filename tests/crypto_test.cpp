@@ -3,53 +3,108 @@
 // RFC 8439 (ChaCha20), IEEE 1619 (XTS).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "crypto/aes.hpp"
+#include "crypto/aes_backend.hpp"
 #include "crypto/kdf.hpp"
 #include "crypto/modes.hpp"
 #include "crypto/random.hpp"
 #include "crypto/sha.hpp"
 #include "util/bytes.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 using namespace mobiceal;
 using util::from_hex;
 using util::to_hex;
 
+// Every known-answer test runs on both AES backends: the T-table reference
+// and, where the CPU has AES instructions, the hardware kernels.
+namespace {
+
+std::vector<const crypto::detail::AesBackend*> backends() {
+  std::vector<const crypto::detail::AesBackend*> out{
+      &crypto::detail::software_backend()};
+  if (const auto* hw = crypto::detail::hardware_backend()) out.push_back(hw);
+  return out;
+}
+
+/// One AES block vector: encrypt and decrypt on every backend.
+void check_block_kat(const char* key_hex, const char* pt_hex,
+                     const char* ct_hex) {
+  const auto key = from_hex(key_hex);
+  const auto pt = from_hex(pt_hex);
+  const crypto::Aes aes(key);
+  for (const auto* be : backends()) {
+    SCOPED_TRACE(be->name);
+    std::uint8_t ct[16];
+    be->ecb_encrypt(aes.schedule(), pt.data(), ct, 1);
+    EXPECT_EQ(to_hex({ct, 16}), ct_hex);
+    std::uint8_t back[16];
+    be->ecb_decrypt(aes.schedule(), ct, back, 1);
+    EXPECT_EQ(to_hex({back, 16}), pt_hex);
+  }
+  // The public entry point runs the process's backend.
+  std::uint8_t ct[16];
+  aes.encrypt_block(pt.data(), ct);
+  EXPECT_EQ(to_hex({ct, 16}), ct_hex);
+}
+
+/// One CBC vector (SP 800-38A F.2): encrypt and decrypt on every backend.
+void check_cbc_kat(const char* key_hex, const char* iv_hex,
+                   const char* pt_hex, const char* ct_hex) {
+  const auto key = from_hex(key_hex);
+  const auto iv = from_hex(iv_hex);
+  const auto pt = from_hex(pt_hex);
+  const crypto::Aes aes(key);
+  for (const auto* be : backends()) {
+    SCOPED_TRACE(be->name);
+    util::Bytes ct(pt.size());
+    be->cbc_encrypt(aes.schedule(), iv.data(), 1, pt.size(), pt.data(),
+                    ct.data());
+    EXPECT_EQ(to_hex(ct), ct_hex);  // F.2.1 / F.2.5
+    util::Bytes back(ct.size());
+    be->cbc_decrypt(aes.schedule(), iv.data(), 1, ct.size(), ct.data(),
+                    back.data());
+    EXPECT_EQ(back, pt);  // F.2.2 / F.2.6
+  }
+  util::Bytes ct(pt.size());
+  crypto::cbc_encrypt(aes, iv, pt, ct);
+  EXPECT_EQ(to_hex(ct), ct_hex);
+  util::Bytes back(pt.size());
+  crypto::cbc_decrypt(aes, iv, ct, back);
+  EXPECT_EQ(back, pt);
+}
+
+constexpr const char* kSp80038aPlaintext =
+    "6bc1bee22e409f96e93d7e117393172a"
+    "ae2d8a571e03ac9c9eb76fac45af8e51"
+    "30c81c46a35ce411e5fbc1191a0a52ef"
+    "f69f2445df4f9b17ad2b417be66c3710";
+
+}  // namespace
+
 // ---- AES (FIPS-197 Appendix C) ------------------------------------------------
 
-TEST(Aes, Fips197Aes128) {
-  const auto key = from_hex("000102030405060708090a0b0c0d0e0f");
-  const auto pt = from_hex("00112233445566778899aabbccddeeff");
-  crypto::Aes aes(key);
-  std::uint8_t ct[16];
-  aes.encrypt_block(pt.data(), ct);
-  EXPECT_EQ(to_hex({ct, 16}), "69c4e0d86a7b0430d8cdb78070b4c55a");
-  std::uint8_t back[16];
-  aes.decrypt_block(ct, back);
-  EXPECT_EQ(to_hex({back, 16}), to_hex(pt));
+TEST(Aes, Fips197Aes128) {  // C.1
+  check_block_kat("000102030405060708090a0b0c0d0e0f",
+                  "00112233445566778899aabbccddeeff",
+                  "69c4e0d86a7b0430d8cdb78070b4c55a");
 }
 
-TEST(Aes, Fips197Aes192) {
-  const auto key = from_hex("000102030405060708090a0b0c0d0e0f1011121314151617");
-  const auto pt = from_hex("00112233445566778899aabbccddeeff");
-  crypto::Aes aes(key);
-  std::uint8_t ct[16];
-  aes.encrypt_block(pt.data(), ct);
-  EXPECT_EQ(to_hex({ct, 16}), "dda97ca4864cdfe06eaf70a0ec0d7191");
+TEST(Aes, Fips197Aes192) {  // C.2
+  check_block_kat("000102030405060708090a0b0c0d0e0f1011121314151617",
+                  "00112233445566778899aabbccddeeff",
+                  "dda97ca4864cdfe06eaf70a0ec0d7191");
 }
 
-TEST(Aes, Fips197Aes256) {
-  const auto key = from_hex(
-      "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
-  const auto pt = from_hex("00112233445566778899aabbccddeeff");
-  crypto::Aes aes(key);
-  std::uint8_t ct[16];
-  aes.encrypt_block(pt.data(), ct);
-  EXPECT_EQ(to_hex({ct, 16}), "8ea2b7ca516745bfeafc49904b496089");
-  std::uint8_t back[16];
-  aes.decrypt_block(ct, back);
-  EXPECT_EQ(to_hex({back, 16}), to_hex(pt));
+TEST(Aes, Fips197Aes256) {  // C.3
+  check_block_kat(
+      "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
+      "00112233445566778899aabbccddeeff", "8ea2b7ca516745bfeafc49904b496089");
 }
 
 TEST(Aes, RejectsBadKeySizes) {
@@ -62,33 +117,43 @@ TEST(Aes, RejectsBadKeySizes) {
 TEST(Aes, InPlaceRoundTrip) {
   const auto key = from_hex("2b7e151628aed2a6abf7158809cf4f3c");
   crypto::Aes aes(key);
-  std::uint8_t buf[16];
-  for (int i = 0; i < 16; ++i) buf[i] = static_cast<std::uint8_t>(i * 7);
   std::uint8_t orig[16];
-  std::memcpy(orig, buf, 16);
+  for (int i = 0; i < 16; ++i) orig[i] = static_cast<std::uint8_t>(i * 7);
+  for (const auto* be : backends()) {
+    SCOPED_TRACE(be->name);
+    std::uint8_t buf[16];
+    std::memcpy(buf, orig, 16);
+    be->ecb_encrypt(aes.schedule(), buf, buf, 1);
+    EXPECT_NE(std::memcmp(buf, orig, 16), 0);
+    be->ecb_decrypt(aes.schedule(), buf, buf, 1);
+    EXPECT_EQ(std::memcmp(buf, orig, 16), 0);
+  }
+  std::uint8_t buf[16];
+  std::memcpy(buf, orig, 16);
   aes.encrypt_block(buf, buf);
-  EXPECT_NE(std::memcmp(buf, orig, 16), 0);
   aes.decrypt_block(buf, buf);
   EXPECT_EQ(std::memcmp(buf, orig, 16), 0);
 }
 
 // ---- CBC (NIST SP 800-38A F.2) ---------------------------------------------
 
-TEST(Modes, CbcAes128Nist) {
-  const auto key = from_hex("2b7e151628aed2a6abf7158809cf4f3c");
-  const auto iv = from_hex("000102030405060708090a0b0c0d0e0f");
-  const auto pt = from_hex(
-      "6bc1bee22e409f96e93d7e117393172a"
-      "ae2d8a571e03ac9c9eb76fac45af8e51");
-  crypto::Aes aes(key);
-  util::Bytes ct(pt.size());
-  crypto::cbc_encrypt(aes, iv, pt, ct);
-  EXPECT_EQ(to_hex(ct),
-            "7649abac8119b246cee98e9b12e9197d"
-            "5086cb9b507219ee95db113a917678b2");
-  util::Bytes back(pt.size());
-  crypto::cbc_decrypt(aes, iv, ct, back);
-  EXPECT_EQ(back, pt);
+TEST(Modes, CbcAes128Nist) {  // F.2.1, F.2.2
+  check_cbc_kat("2b7e151628aed2a6abf7158809cf4f3c",
+                "000102030405060708090a0b0c0d0e0f", kSp80038aPlaintext,
+                "7649abac8119b246cee98e9b12e9197d"
+                "5086cb9b507219ee95db113a917678b2"
+                "73bed6b8e3c1743b7116e69e22229516"
+                "3ff1caa1681fac09120eca307586e1a7");
+}
+
+TEST(Modes, CbcAes256Nist) {  // F.2.5, F.2.6
+  check_cbc_kat(
+      "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4",
+      "000102030405060708090a0b0c0d0e0f", kSp80038aPlaintext,
+      "f58c4c04d6e5f1ba779eabfb5f7bfbd6"
+      "9cfc4e967edb808d679f777bc6702c7d"
+      "39f23369a9d9bacfa530e26304231461"
+      "b2eb05e2c39be9fcda6c19078c6a9d1b");
 }
 
 // ---- CTR (NIST SP 800-38A F.5) ---------------------------------------------
@@ -127,15 +192,18 @@ TEST(Modes, XtsAes128Ieee1619) {
       "a0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebf"
       "c0c1c2c3c4c5c6c7c8c9cacbcccdcecfd0d1d2d3d4d5d6d7d8d9dadbdcdddedf"
       "e0e1e2e3e4e5e6e7e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
-  crypto::XtsCipher xts(key);
-  util::Bytes ct(pt.size());
-  xts.encrypt_sector(0, pt, ct);
-  EXPECT_EQ(to_hex({ct.data(), 32}),
-            "27a7479befa1d476489f308cd4cfa6e2"
-            "a96e4bbe3208ff25287dd3819616e89c");
-  util::Bytes back(pt.size());
-  xts.decrypt_sector(0, ct, back);
-  EXPECT_EQ(back, pt);
+  for (const auto* be : backends()) {
+    SCOPED_TRACE(be->name);
+    const crypto::XtsCipher xts(key, *be);
+    util::Bytes ct(pt.size());
+    xts.encrypt_range(0, pt.size(), pt, ct);
+    EXPECT_EQ(to_hex({ct.data(), 32}),
+              "27a7479befa1d476489f308cd4cfa6e2"
+              "a96e4bbe3208ff25287dd3819616e89c");
+    util::Bytes back(pt.size());
+    xts.decrypt_range(0, ct.size(), ct, back);
+    EXPECT_EQ(back, pt);
+  }
 }
 
 TEST(Modes, XtsDifferentSectorsDiffer) {
@@ -143,8 +211,8 @@ TEST(Modes, XtsDifferentSectorsDiffer) {
   crypto::XtsCipher xts(key);
   const util::Bytes pt(512, 0xAB);
   util::Bytes c0(512), c1(512);
-  xts.encrypt_sector(0, pt, c0);
-  xts.encrypt_sector(1, pt, c1);
+  xts.encrypt_range(0, pt.size(), pt, c0);
+  xts.encrypt_range(1, pt.size(), pt, c1);
   EXPECT_NE(c0, c1);
 }
 
@@ -158,12 +226,12 @@ TEST(Modes, EssivRoundTripAndSectorSensitivity) {
     pt[i] = static_cast<std::uint8_t>(i);
   }
   util::Bytes ct(512), back(512);
-  essiv.encrypt_sector(7, pt, ct);
+  essiv.encrypt_range(7, pt.size(), pt, ct);
   EXPECT_NE(ct, pt);
-  essiv.decrypt_sector(7, ct, back);
+  essiv.decrypt_range(7, ct.size(), ct, back);
   EXPECT_EQ(back, pt);
   // Decrypting with the wrong sector number must not yield the plaintext.
-  essiv.decrypt_sector(8, ct, back);
+  essiv.decrypt_range(8, ct.size(), ct, back);
   EXPECT_NE(back, pt);
 }
 
@@ -173,7 +241,7 @@ TEST(Modes, CiphertextLooksRandom) {
   crypto::CbcEssivCipher essiv(key);
   const util::Bytes pt(4096, 0);  // extreme structure: all zeros
   util::Bytes ct(4096);
-  essiv.encrypt_sector(3, pt, ct);
+  essiv.encrypt_range(3, pt.size(), pt, ct);
   EXPECT_TRUE(util::looks_random(ct));
 }
 
@@ -300,6 +368,33 @@ TEST(SecureRandom, OutputLooksRandom) {
   EXPECT_TRUE(util::looks_random(r.bytes(8192)));
 }
 
+TEST(SecureRandom, FillMatchesTheGenericWordStream) {
+  // SecureRandom::fill takes the bulk keystream copy only where it yields
+  // exactly the bytes of Rng::fill's word loop. Interleave every way of
+  // drawing, with odd lengths and misaligned positions, against a twin
+  // that draws every fill through the generic loop.
+  crypto::SecureRandom rng(1234), ref(1234);
+  util::Xoshiro256 script(99);
+  for (int step = 0; step < 2000; ++step) {
+    const std::size_t len = script.next_below(150);
+    util::Bytes got(len), want(len);
+    switch (script.next_below(3)) {
+      case 0:
+        ASSERT_EQ(rng.next_u64(), ref.next_u64()) << "step " << step;
+        continue;
+      case 1:
+        rng.fill(got);
+        ref.util::Rng::fill(want);
+        break;
+      default:
+        rng.fill_bytes(got);
+        ref.fill_bytes(want);
+        break;
+    }
+    ASSERT_EQ(got, want) << "step " << step << ", length " << len;
+  }
+}
+
 TEST(SecureRandom, NoiseIndistinguishableFromCiphertext) {
   // Core deniability premise (Sec. IV-A, question 2): dummy noise and FDE
   // ciphertext must pass the same randomness battery.
@@ -309,7 +404,7 @@ TEST(SecureRandom, NoiseIndistinguishableFromCiphertext) {
   crypto::CbcEssivCipher essiv(key);
   util::Bytes pt(4096, 0x00);
   util::Bytes ct(4096);
-  essiv.encrypt_sector(9, pt, ct);
+  essiv.encrypt_range(9, pt.size(), pt, ct);
   EXPECT_TRUE(util::looks_random(noise));
   EXPECT_TRUE(util::looks_random(ct));
   // Identical statistics class: both entropy values within noise floor.

@@ -11,10 +11,6 @@
 # Workload sizing comes from the usual env knobs (MOBICEAL_BENCH_MB,
 # MOBICEAL_BENCH_REPS, MOBICEAL_QUEUE_DEPTH, MOBICEAL_STRIPES, ...).
 #
-# bench_micro is skipped: it measures real wall-clock primitive costs via
-# google-benchmark (no --json protocol, machine-dependent output) and is
-# only built where that library exists.
-#
 # Exit status is nonzero if any bench fails its built-in gates (benches
 # exit nonzero on state divergence / lost speedups) or nothing matched.
 set -euo pipefail
@@ -34,7 +30,6 @@ for bench in "$build_dir"/bench_*; do
   [ -x "$bench" ] && [ -f "$bench" ] || continue
   name=$(basename "$bench")
   case "$name" in
-    bench_micro) continue ;;
     *.*) continue ;;  # stray artifacts (bench_foo.json etc.)
   esac
   echo "$name" | grep -Eq -- "$filter" || continue
