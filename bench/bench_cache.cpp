@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
   JsonReport json("cache", argc, argv);
   const std::uint64_t bytes = env_bench_bytes(8);
   StackOptions base;
-  apply_stack_knobs(base, argc, argv);
+  base.stack.apply_knobs(argc, argv);
   base.stack.cache_blocks = 0;  // per-config below; --queue-depth applies
   json.add("workload_mb", static_cast<double>(bytes >> 20));
   json.add("queue_depth", static_cast<double>(base.stack.queue_depth));

@@ -47,6 +47,8 @@ constexpr std::uint64_t kDeviceBlocks = 16384;  // 64 MiB legs
 // must fire failovers deterministically even at smoke workloads (2 MiB
 // under ASan/TSan), and the mirror's bounded retry absorbs double faults.
 constexpr std::uint32_t kFlakyPpm = 20000;
+// Blocks copied per MirrorTarget::rebuild_step (the rebuild rate limiter).
+constexpr std::uint64_t kRebuildRateBlocks = 256;
 
 enum class Mode { kHealthy, kDegraded, kFlaky, kRebuilding, kHybrid };
 
@@ -86,15 +88,9 @@ ScenarioResult run_scenario(Mode mode, std::uint64_t bytes,
                             const StackOptions& base) {
   StackOptions o = base;
   o.device_blocks = kDeviceBlocks;
-  o.stack.mirror_legs = std::max<std::uint32_t>(2, base.stack.mirror_legs);
-  if (mode == Mode::kDegraded) {
-    o.stack.fault_drop_member =
-        base.stack.fault_drop_member >= 2 ? base.stack.fault_drop_member : 2;
-  }
-  if (mode == Mode::kFlaky) {
-    o.stack.fault_read_ppm =
-        base.stack.fault_read_ppm > 0 ? base.stack.fault_read_ppm : kFlakyPpm;
-  }
+  o.mirror_legs = 2;
+  if (mode == Mode::kDegraded) o.fault_drop_member = 2;
+  if (mode == Mode::kFlaky) o.fault_read_ppm = kFlakyPpm;
   if (mode == Mode::kHybrid) {
     o.mirror_leg_models = {blockdev::TimingModel::sata_ssd(),
                            o.device_model};
@@ -122,7 +118,7 @@ ScenarioResult run_scenario(Mode mode, std::uint64_t bytes,
   }
   auto step_rebuild = [&] {
     if (mode == Mode::kRebuilding && mirror.rebuilding()) {
-      mirror.rebuild_step(o.stack.rebuild_rate_blocks);
+      mirror.rebuild_step(kRebuildRateBlocks);
     }
   };
 
@@ -158,7 +154,7 @@ ScenarioResult run_scenario(Mode mode, std::uint64_t bytes,
   // promotion drains the spare's timeline.
   if (mode == Mode::kRebuilding) {
     while (mirror.rebuilding()) {
-      mirror.rebuild_step(o.stack.rebuild_rate_blocks);
+      mirror.rebuild_step(kRebuildRateBlocks);
     }
     r.rebuild_s = s.clock->now_seconds() - rebuild_t0;
     r.spare_ok = mirror.rebuilds_completed() == 1 &&
@@ -229,22 +225,13 @@ int main(int argc, char** argv) {
   JsonReport json("degraded", argc, argv);
   const std::uint64_t bytes = env_bench_bytes(4);
   StackOptions o;
-  apply_stack_knobs(o, argc, argv);
+  o.stack.apply_knobs(argc, argv);
 
   json.add("workload_mb", static_cast<double>(bytes >> 20));
-  json.add("mirror_legs",
-           static_cast<double>(std::max<std::uint32_t>(2,
-                                                       o.stack.mirror_legs)));
-  json.add("fault_read_ppm",
-           static_cast<double>(o.stack.fault_read_ppm > 0
-                                   ? o.stack.fault_read_ppm
-                                   : kFlakyPpm));
-  json.add("fault_drop_member",
-           static_cast<double>(o.stack.fault_drop_member >= 2
-                                   ? o.stack.fault_drop_member
-                                   : 2));
-  json.add("rebuild_rate_blocks",
-           static_cast<double>(o.stack.rebuild_rate_blocks));
+  json.add("mirror_legs", 2);
+  json.add("fault_read_ppm", kFlakyPpm);
+  json.add("fault_drop_member", 2);
+  json.add("rebuild_rate_blocks", kRebuildRateBlocks);
 
   std::printf("== Degraded / rebuild bench: MobiCeal over a 2-way mirror "
               "(%llu MiB foreground, virtual time) ==\n\n",

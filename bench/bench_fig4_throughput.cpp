@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   const std::uint64_t bytes = env_bench_bytes(48);
   const int reps = env_bench_reps(5);
   StackOptions knobs;
-  apply_stack_knobs(knobs, argc, argv);
+  knobs.stack.apply_knobs(argc, argv);
   const std::uint32_t qd = knobs.stack.queue_depth;
   json.add("workload_mb", static_cast<double>(bytes >> 20));
   json.add("queue_depth", static_cast<double>(qd));

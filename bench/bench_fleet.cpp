@@ -247,12 +247,12 @@ int main(int argc, char** argv) {
   JsonReport json("fleet", argc, argv);
   const std::uint64_t bytes = env_bench_bytes(8);
   StackOptions o;
-  apply_stack_knobs(o, argc, argv);
-  const std::uint32_t tenants = o.stack.fleet_tenants;
-  // The contrast config: --alloc-shards when given, else the ISSUE 8 bar
-  // of 4 shards. The 1-shard leg is always the baseline.
+  o.stack.apply_knobs(argc, argv);
+  // The contrast config: --alloc-shards when given, else 4 shards, with
+  // one tenant per shard. The 1-shard leg is always the baseline.
   const std::uint32_t shards =
       o.stack.alloc_shards > 1 ? o.stack.alloc_shards : 4;
+  const std::uint32_t tenants = shards;
   const FleetGeometry g = fleet_geometry(tenants, bytes);
   const std::uint64_t total_bytes =
       g.total_chunks * kChunkBlocks * blockdev::kDefaultBlockSize;

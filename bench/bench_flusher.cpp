@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   const std::uint64_t bytes = env_bench_bytes(8);
   StackOptions base;
   base.stack.queue_depth = 8;  // overlap needs an async queue; knob wins
-  apply_stack_knobs(base, argc, argv);
+  base.stack.apply_knobs(argc, argv);
   json.add("workload_mb", static_cast<double>(bytes >> 20));
   json.add("queue_depth", static_cast<double>(base.stack.queue_depth));
   json.add("flusher_dirty_pct",

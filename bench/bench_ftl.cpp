@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
   const std::uint64_t bytes = env_bench_bytes(4);
   const int reps = env_bench_reps(2);
   StackOptions o;
-  apply_stack_knobs(o, argc, argv);
+  o.stack.apply_knobs(argc, argv);
 
   json.add("workload_mb", static_cast<double>(bytes >> 20));
   json.add("ftl_mode", 1.0);

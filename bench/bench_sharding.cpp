@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   JsonReport json("sharding", argc, argv);
   const std::uint64_t bytes = env_bench_bytes(8);
   StackOptions base;
-  apply_stack_knobs(base, argc, argv);
+  base.stack.apply_knobs(argc, argv);
   base.stack.stripe_count = 1;  // per-cell below; --stripe-chunk applies
   json.add("workload_mb", static_cast<double>(bytes >> 20));
   json.add("stripe_chunk_blocks",

@@ -12,7 +12,8 @@
 // and measures every scheme whose capabilities include
 // kMultiSnapshotSecure, on the timing model Table I used for it.
 //
-// Shape target: DEFY and HIVE pay >90%; MobiCeal pays ~20%.
+// Shape target: DEFY and HIVE pay >90%; MobiCeal pays ~20%. Gates (exit
+// nonzero): DEFY and HIVE above 85%, MobiCeal below 35%.
 #include <cstdio>
 #include <string>
 
@@ -62,7 +63,7 @@ double seq_write_mbs(const std::string& scheme, const StackOptions& o,
     StackOptions opt = o;
     opt.seed = 2000 + rep;
     BenchStack stack = scheme.empty()
-                           ? make_stack(StackKind::kRawExt, opt)
+                           ? make_raw_ext_stack(opt)
                            : make_scheme_stack(scheme, /*hidden=*/false, opt);
     s.add(kbps(bytes, dd_write(stack, "/t1.dat", bytes)) / 1024.0);
   }
@@ -106,10 +107,10 @@ int main(int argc, char** argv) {
     if (scheme == "mobiceal") mc_overhead = overhead;
   }
 
+  const bool g_log = defy_overhead > 85.0 && hive_overhead > 85.0;
+  const bool g_mc = mc_overhead < 35.0;
   std::printf("\n-- shape checks --\n");
-  std::printf("DEFY and HIVE above 85%%: %s\n",
-              (defy_overhead > 85.0 && hive_overhead > 85.0) ? "yes" : "NO");
-  std::printf("MobiCeal below 35%%:     %s\n",
-              mc_overhead < 35.0 ? "yes" : "NO");
-  return 0;
+  std::printf("DEFY and HIVE above 85%%: %s\n", g_log ? "yes" : "NO");
+  std::printf("MobiCeal below 35%%:     %s\n", g_mc ? "yes" : "NO");
+  return g_log && g_mc ? 0 : 1;
 }

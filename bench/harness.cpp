@@ -20,7 +20,7 @@ constexpr char kHid[] = "bench-hidden";
 /// With clock shards on a striped stack, the shared clock becomes shard 0
 /// of a fresh util::ClockDomain and stripe i's device advances shard
 /// i % shards — clock_shards is ignored (single timeline) without striping.
-/// With stack.mirror_legs > 1 every backing position becomes a
+/// With mirror_legs > 1 every backing position becomes a
 /// dm::MirrorTarget of independently timed, fault-injected legs (legs of
 /// one position share that position's clock shard so mirrored writes
 /// overlap); leg 0's raw device stays the canonical logical image.
@@ -33,15 +33,10 @@ void build_backing(BenchStack& s, const StackOptions& o,
     opts.clock_domain = s.domain;
   }
   opts.clock = s.clock;
-  const std::uint32_t legs = o.stack.mirror_legs;
-  if (legs > 1 && o.stack.fault_drop_member == 1) {
-    throw util::PolicyError(
-        "bench: mirror leg 1 is the canonical logical image; drop a leg "
-        ">= 2 (--fault-drop-member)");
-  }
+  const std::uint32_t legs = o.mirror_legs;
   // One deterministic seed stream for every leg injector, in construction
-  // order — replays bit-for-bit for a given --fault-seed.
-  util::SplitMix64 fault_seeds(o.stack.fault_seed);
+  // order — runs replay bit-for-bit.
+  util::SplitMix64 fault_seeds(1);
   // One timed backing device: the historical Mem+TimedDevice pair, or —
   // with --ftl — an ftl::FtlDevice whose flash timing model replaces the
   // block-level one (stacking both would double-charge service time).
@@ -87,8 +82,8 @@ void build_backing(BenchStack& s, const StackOptions& o,
       auto [timed, raw] = build_device(blocks, model, clock);
       blockdev::FaultPlan plan;
       plan.seed = fault_seeds.next_u64();
-      plan.transient_read_ppm = o.stack.fault_read_ppm;
-      if (o.stack.fault_drop_member == l + 1) plan.drop_after_requests = 0;
+      plan.transient_read_ppm = o.fault_read_ppm;
+      if (o.fault_drop_member == l + 1) plan.drop_after_requests = 0;
       auto inj = std::make_shared<blockdev::FaultInjector>(plan);
       leg_devs.push_back(std::make_shared<blockdev::FaultInjectedDevice>(
           std::move(timed), inj));
@@ -96,9 +91,8 @@ void build_backing(BenchStack& s, const StackOptions& o,
       leg_injs.push_back(std::move(inj));
     }
     auto mirror = std::make_shared<dm::MirrorTarget>(leg_devs);
-    if (o.stack.fault_drop_member >= 2 &&
-        o.stack.fault_drop_member <= legs) {
-      mirror->fail_member(o.stack.fault_drop_member - 1);
+    if (o.fault_drop_member >= 2 && o.fault_drop_member <= legs) {
+      mirror->fail_member(o.fault_drop_member - 1);
     }
     auto raw0 = leg_raws.front();
     s.mirrors.push_back(mirror);
@@ -132,20 +126,6 @@ void build_backing(BenchStack& s, const StackOptions& o,
                                               o.stack.stripe_chunk_blocks);
 }
 }  // namespace
-
-const char* stack_name(StackKind kind) {
-  switch (kind) {
-    case StackKind::kAndroidFde: return "Android";
-    case StackKind::kThinPublic: return "A-T-P";
-    case StackKind::kThinHidden: return "A-T-H";
-    case StackKind::kMobiCealPublic: return "MC-P";
-    case StackKind::kMobiCealHidden: return "MC-H";
-    case StackKind::kRawExt: return "Ext4-raw";
-    case StackKind::kHive: return "HIVE";
-    case StackKind::kDefy: return "DEFY";
-  }
-  return "?";
-}
 
 BenchStack make_scheme_stack(const std::string& scheme_name, bool hidden,
                              const StackOptions& o) {
@@ -183,39 +163,14 @@ BenchStack make_scheme_stack(const std::string& scheme_name, bool hidden,
   return s;
 }
 
-BenchStack make_stack(StackKind kind, const StackOptions& o) {
-  switch (kind) {
-    case StackKind::kRawExt: {
-      BenchStack s;
-      s.clock = std::make_shared<util::SimClock>();
-      api::SchemeOptions opts;
-      build_backing(s, o, opts);
-      s.owned_fs = fs::ExtFs::format(api::stack_device_for(opts), 1024);
-      s.fs = s.owned_fs.get();
-      return s;
-    }
-    case StackKind::kAndroidFde:
-      return make_scheme_stack("android_fde", /*hidden=*/false, o);
-    case StackKind::kThinPublic:
-    case StackKind::kThinHidden: {
-      // "Android-Thin": thin provisioning + FDE with the stock kernel —
-      // i.e. MobiPluto's stack minus the (irrelevant to throughput)
-      // initial random fill.
-      StackOptions thin = o;
-      thin.skip_random_fill = true;
-      return make_scheme_stack("mobipluto", kind == StackKind::kThinHidden,
-                               thin);
-    }
-    case StackKind::kMobiCealPublic:
-    case StackKind::kMobiCealHidden:
-      return make_scheme_stack("mobiceal",
-                               kind == StackKind::kMobiCealHidden, o);
-    case StackKind::kHive:
-      return make_scheme_stack("hive", /*hidden=*/false, o);
-    case StackKind::kDefy:
-      return make_scheme_stack("defy", /*hidden=*/false, o);
-  }
-  throw util::PolicyError("bench: unknown stack kind");
+BenchStack make_raw_ext_stack(const StackOptions& o) {
+  BenchStack s;
+  s.clock = std::make_shared<util::SimClock>();
+  api::SchemeOptions opts;
+  build_backing(s, o, opts);
+  s.owned_fs = fs::ExtFs::format(api::stack_device_for(opts), 1024);
+  s.fs = s.owned_fs.get();
+  return s;
 }
 
 namespace {

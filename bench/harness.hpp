@@ -4,8 +4,8 @@
 //
 // Scheme-backed stacks are constructed through api::SchemeRegistry — the
 // harness names backends ("mobiceal", "mobipluto", ...), never concrete
-// types. StackKind survives as a convenience enum for the ablation benches;
-// each kind maps onto a (scheme, volume, options) triple.
+// types. The one bespoke stack is plain ext4 over the same backing store,
+// Table I's unencrypted baseline.
 //
 // Every number reported by the bench binaries is *virtual* time from the
 // calibrated device/CPU service models — deterministic across machines.
@@ -29,20 +29,6 @@
 
 namespace mobiceal::bench {
 
-/// The five Fig. 4 configurations plus the Table I comparison stacks.
-enum class StackKind {
-  kAndroidFde,      // "Android": stock FDE
-  kThinPublic,      // "A-T-P": thin volumes + FDE, stock kernel
-  kThinHidden,      // "A-T-H"
-  kMobiCealPublic,  // "MC-P"
-  kMobiCealHidden,  // "MC-H"
-  kRawExt,          // plain ext4, no encryption (Table I baseline)
-  kHive,            // ext4 over HIVE write-only ORAM
-  kDefy,            // ext4 over the DEFY-style log device
-};
-
-const char* stack_name(StackKind kind);
-
 /// A fully built storage stack with a mounted filesystem and shared clock.
 /// Keepalives hold every layer; `fs` is the mount point for workloads.
 struct BenchStack {
@@ -62,14 +48,14 @@ struct BenchStack {
   std::vector<std::shared_ptr<blockdev::BlockDevice>> stripe_raw;
   std::vector<std::shared_ptr<blockdev::BlockDevice>> stripe_timed;
   std::unique_ptr<api::PdeScheme> scheme;  // scheme-backed stacks
-  std::unique_ptr<fs::FileSystem> owned_fs;  // kRawExt only
+  std::unique_ptr<fs::FileSystem> owned_fs;  // make_raw_ext_stack only
 
-  // Mirror layer (stack.mirror_legs > 1): one dm::MirrorTarget per backing
+  // Mirror layer (mirror_legs > 1): one dm::MirrorTarget per backing
   // position (1 unstriped, stripe_count striped) with per-leg handles for
   // the degraded/rebuild benches' control plane — mirror_leg_raw[pos][leg]
   // is the untimed leg image, mirror_injectors[pos][leg] the fault policy
   // on that leg. `raw`/`stripe_raw` view leg 0, the canonical logical
-  // image (which is why --fault-drop-member never drops leg 1).
+  // image (which is why fault_drop_member never drops leg 1).
   std::vector<std::shared_ptr<dm::MirrorTarget>> mirrors;
   std::vector<std::vector<std::shared_ptr<blockdev::BlockDevice>>>
       mirror_leg_raw;
@@ -98,12 +84,26 @@ struct StackOptions {
   /// Skip the one-time full random fill (the thin stacks always skip it —
   /// it is irrelevant to steady-state throughput).
   bool skip_random_fill = false;
+  /// Mirror legs (dm::MirrorTarget) under each backing position, each leg
+  /// independently timed and behind its own blockdev::FaultInjector. 1
+  /// (the default) builds no mirror layer at all. Only bench_degraded
+  /// sets these four.
+  std::uint32_t mirror_legs = 1;
+  /// Transient read-fault probability per request on every mirror leg,
+  /// parts per million.
+  std::uint32_t fault_read_ppm = 0;
+  /// Drops one mirror leg dead at build time: 0 drops nothing, k >= 2
+  /// drops leg k (1-based) of every mirror. Leg 1 is the canonical
+  /// logical image and cannot be dropped.
+  std::uint32_t fault_drop_member = 0;
   /// Per-mirror-leg TimingModel overrides (the SSD+eMMC hybrid scenario):
   /// leg l of every mirror uses mirror_leg_models[l % size]. Empty (the
-  /// default): every leg uses device_model. Ignored without --mirror > 1.
+  /// default): every leg uses device_model.
   std::vector<blockdev::TimingModel> mirror_leg_models;
   /// Every stack tuning knob (queue depth, cache, striping, crypto lanes,
   /// clock shards, flusher) in one typed struct — see api/stack_config.hpp.
+  /// Benches never parse knobs themselves: they call
+  /// o.stack.apply_knobs(argc, argv) once.
   /// All defaults keep the historical single-device, single-timeline stack
   /// byte- and time-identical, so committed baselines stay comparable.
   /// With stack.stripe_count > 1, device_blocks must divide into
@@ -118,9 +118,9 @@ struct StackOptions {
 BenchStack make_scheme_stack(const std::string& scheme_name, bool hidden,
                              const StackOptions& options);
 
-/// Builds a freshly initialised stack of the given kind (registry-backed
-/// for every scheme stack; bespoke only for kRawExt).
-BenchStack make_stack(StackKind kind, const StackOptions& options);
+/// Builds plain ext4 with no encryption over the same backing store
+/// (Table I's baseline).
+BenchStack make_raw_ext_stack(const StackOptions& options);
 
 // ---- workloads ------------------------------------------------------------------
 
@@ -154,19 +154,6 @@ inline double kbps(std::uint64_t bytes, double seconds) {
 /// `def_reps`). Lets CI run quick passes and full runs match the paper.
 std::uint64_t env_bench_bytes(std::uint64_t def_mb);
 int env_bench_reps(int def_reps);
-
-// ---- bench knobs ------------------------------------------------------------
-//
-// Every stack tunable lives in the api::StackConfig knob registry (flag +
-// env var per field, see api/stack_config.hpp) — benches never parse knobs
-// themselves, they call apply_stack_knobs (or o.stack.apply_knobs) once.
-
-/// Applies every registered stack knob (queue depth, cache, striping,
-/// crypto lanes, clock shards, flusher policy) to `o.stack` in one call —
-/// the per-bench entry point.
-inline void apply_stack_knobs(StackOptions& o, int argc, char** argv) {
-  o.stack.apply_knobs(argc, argv);
-}
 
 // ---- machine-readable output ------------------------------------------------
 //

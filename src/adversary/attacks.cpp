@@ -44,26 +44,6 @@ ThinDelta compute_thin_delta(const ThinMetadataReader& before,
   return d;
 }
 
-AttackReport randomness_change_attack(
-    const Snapshot& before, const Snapshot& after,
-    const std::vector<std::uint64_t>& public_blocks) {
-  const std::set<std::uint64_t> accounted(public_blocks.begin(),
-                                          public_blocks.end());
-  const DiffResult diff = diff_snapshots(before, after);
-  std::uint64_t unaccountable = 0;
-  for (std::uint64_t b : diff.changed_blocks) {
-    if (!accounted.count(b)) ++unaccountable;
-  }
-  AttackReport r;
-  r.statistic = static_cast<double>(unaccountable);
-  r.threshold = 0.0;
-  r.suspects_hidden_data = unaccountable > 0;
-  r.reasoning = std::to_string(unaccountable) +
-                " block(s) changed outside the decoy-accounted regions; a "
-                "static-randomness scheme cannot explain any";
-  return r;
-}
-
 AttackReport nonpublic_growth_attack(const ThinMetadataReader& before,
                                      const ThinMetadataReader& after) {
   const ThinDelta d = compute_thin_delta(before, after);

@@ -33,15 +33,6 @@ struct ThinDelta {
 ThinDelta compute_thin_delta(const ThinMetadataReader& before,
                              const ThinMetadataReader& after);
 
-/// Attack A — unaccountable randomness change (defeats single-snapshot
-/// schemes): any block that held data/randomness in `before` and differs in
-/// `after`, outside the regions the public volume accounts for, is evidence
-/// of hidden activity. `public_blocks` are block indices accounted for by
-/// the decoy-decrypted public volume (file system + metadata regions).
-AttackReport randomness_change_attack(
-    const Snapshot& before, const Snapshot& after,
-    const std::vector<std::uint64_t>& public_blocks);
-
 /// Attack B — non-public growth (defeats MobiPluto): in a thin-provisioned
 /// PDE *without* dummy writes, every fresh non-public chunk between
 /// snapshots is unaccountable.

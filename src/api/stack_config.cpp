@@ -50,18 +50,6 @@ constexpr Knob kKnobs[] = {
      offsetof(StackConfig, clock_shards)},
     {"--alloc-shards", "MOBICEAL_ALLOC_SHARDS", Knob::kU32MinOne,
      offsetof(StackConfig, alloc_shards)},
-    {"--fleet-tenants", "MOBICEAL_FLEET_TENANTS", Knob::kU32MinOne,
-     offsetof(StackConfig, fleet_tenants)},
-    {"--mirror", "MOBICEAL_MIRROR", Knob::kU32MinOne,
-     offsetof(StackConfig, mirror_legs)},
-    {"--fault-seed", "MOBICEAL_FAULT_SEED", Knob::kU64,
-     offsetof(StackConfig, fault_seed)},
-    {"--fault-read-ppm", "MOBICEAL_FAULT_READ_PPM", Knob::kU32,
-     offsetof(StackConfig, fault_read_ppm)},
-    {"--fault-drop-member", "MOBICEAL_FAULT_DROP_MEMBER", Knob::kU32,
-     offsetof(StackConfig, fault_drop_member)},
-    {"--rebuild-rate", "MOBICEAL_REBUILD_RATE", Knob::kU64,
-     offsetof(StackConfig, rebuild_rate_blocks)},
     {"--ftl", "MOBICEAL_FTL", Knob::kU32,
      offsetof(StackConfig, ftl_mode)},
     {"--ftl-over-provision", "MOBICEAL_FTL_OVER_PROVISION", Knob::kU32,

@@ -7,7 +7,9 @@
 // parsing is a single registry of (flag, env var, setter) triples in
 // stack_config.cpp; tools/lint/check_invariants.py bans new ad-hoc
 // bench_knob/getenv("MOBICEAL_*") plumbing outside that registry, so a new
-// knob is added exactly once and appears everywhere at once.
+// knob is added exactly once and appears everywhere at once. Parameters
+// that only one bench sets (mirror legs and fault plans of bench_degraded,
+// the tenants of bench_fleet) are not stack knobs: they live in that bench.
 #pragma once
 
 #include <cstdint>
@@ -63,40 +65,6 @@ struct StackConfig {
   /// Flag --alloc-shards, env MOBICEAL_ALLOC_SHARDS.
   std::uint32_t alloc_shards = 1;
 
-  /// Tenants for the multi-mount fleet bench (bench_fleet): public/hidden
-  /// volume pairs sharing one pool, each driven over its own clock shard.
-  /// Ignored by single-mount stacks.
-  /// Flag --fleet-tenants, env MOBICEAL_FLEET_TENANTS.
-  std::uint32_t fleet_tenants = 4;
-
-  /// Mirror legs (dm::MirrorTarget) under each stripe: every backing
-  /// position becomes an N-way mirror of independently timed (and
-  /// fault-injectable) legs. 1 (the default) builds no mirror layer at all
-  /// — byte- and time-identical to every committed baseline.
-  /// Flag --mirror, env MOBICEAL_MIRROR.
-  std::uint32_t mirror_legs = 1;
-
-  /// Seed for the deterministic fault injector (blockdev::FaultInjector)
-  /// wired onto each mirror leg when any fault knob is non-default.
-  /// Flag --fault-seed, env MOBICEAL_FAULT_SEED.
-  std::uint64_t fault_seed = 1;
-
-  /// Transient read-fault probability per request, parts per million,
-  /// injected on every mirror leg. 0 (default): no faults.
-  /// Flag --fault-read-ppm, env MOBICEAL_FAULT_READ_PPM.
-  std::uint32_t fault_read_ppm = 0;
-
-  /// Drops one mirror leg dead at stack build time: 0 (default) drops
-  /// nothing; k >= 2 drops leg k (1-based) of every mirror. Leg 1 is the
-  /// canonical logical image and cannot be dropped.
-  /// Flag --fault-drop-member, env MOBICEAL_FAULT_DROP_MEMBER.
-  std::uint32_t fault_drop_member = 0;
-
-  /// Blocks copied per MirrorTarget::rebuild_step by the degraded bench's
-  /// online-rebuild driver (the rebuild rate limiter).
-  /// Flag --rebuild-rate, env MOBICEAL_REBUILD_RATE.
-  std::uint64_t rebuild_rate_blocks = 256;
-
   /// Flash-translation-layer device (ftl::FtlDevice) under every backing
   /// position: page-mapped out-of-place writes over erase blocks, greedy
   /// GC, wear counters, and flash read/program/erase timing replacing the
@@ -119,6 +87,8 @@ struct StackConfig {
   /// envs MOBICEAL_FLUSHER, MOBICEAL_FLUSHER_DIRTY_PCT,
   /// MOBICEAL_FLUSHER_DEADLINE_NS.
   cache::FlusherPolicy flusher;
+
+  bool operator==(const StackConfig&) const = default;
 
   /// Overrides fields from the knob registry, current values as defaults.
   /// Resolution order per knob: `--<flag> N` / `--<flag>=N` on the command

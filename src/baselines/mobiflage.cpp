@@ -67,8 +67,15 @@ std::uint64_t MobiflageDevice::hidden_offset(
       crypto::pbkdf2(crypto::HashAlg::kSha256, util::bytes_of(password),
                      footer_.salt, config_.kdf_iterations, 8);
   const std::uint64_t v = util::load_le<std::uint64_t>(h.data());
-  const std::uint64_t window = usable / 4;  // offsets span [70%, 95%)
-  return usable * 70 / 100 + (window ? v % window : 0);
+  // Offsets span [70%, 95% - size], so the volume ends by 95%.
+  const std::uint64_t lo = usable * 70 / 100;
+  const std::uint64_t window = usable * 95 / 100 - hidden_blocks() - lo + 1;
+  return lo + v % window;
+}
+
+std::uint64_t MobiflageDevice::hidden_blocks() const {
+  const std::uint64_t fb = fde::footer_blocks(storage_->block_size());
+  return (storage_->num_blocks() - fb) / 10;
 }
 
 std::shared_ptr<blockdev::BlockDevice> MobiflageDevice::public_crypt(
@@ -85,11 +92,11 @@ std::shared_ptr<blockdev::BlockDevice> MobiflageDevice::hidden_crypt(
     std::uint64_t offset, util::ByteSpan key) {
   const std::uint64_t fb = fde::footer_blocks(storage_->block_size());
   const std::uint64_t usable = storage_->num_blocks() - fb;
-  // The hidden volume runs from the offset to ~95% of the disk.
-  const std::uint64_t end = usable * 95 / 100;
-  if (offset >= end) throw util::PolicyError("mobiflage: bad offset");
+  if (offset + hidden_blocks() > usable * 95 / 100) {
+    throw util::PolicyError("mobiflage: bad offset");
+  }
   auto region =
-      std::make_shared<dm::LinearTarget>(storage_, offset, end - offset);
+      std::make_shared<dm::LinearTarget>(storage_, offset, hidden_blocks());
   auto crypt = std::make_shared<dm::CryptTarget>(
       region, config_.cipher_spec, key, clock_, config_.crypt_cpu);
   return cache::wrap(crypt, config_.cache, clock_);

@@ -2,12 +2,14 @@
 //
 // The first mobile PDE: the whole storage is filled with randomness, a FAT32
 // public volume (sequential allocator) spans the disk, and the hidden volume
-// sits at a secret offset derived from the hidden password:
+// sits at a secret offset derived from the hidden password. The volume's
+// size is fixed first, then the offset is drawn so the volume always fits:
 //
-//     offset = (H(pwd || salt) mod (0.25 * N)) + 0.70 * N
+//     size   = 0.10 * N
+//     offset = (H(pwd || salt) mod (0.15 * N + 1)) + 0.70 * N
 //
-// (our variant of Mobiflage's formula: offset lands in [70%, 95%] of the
-// disk). Deniability holds for a single snapshot only; the adversary
+// (our variant of Mobiflage's formula: the volume lies within [70%, 95%]
+// of the disk). Deniability holds for a single snapshot only; the adversary
 // experiments show how sequential public allocation + static randomness
 // betray it under multi-snapshot observation, and FatFs's high-water mark
 // shows the overwrite hazard the paper discusses (Sec. IV-A, question 3).
@@ -58,6 +60,10 @@ class MobiflageDevice {
   /// Hidden volume start block for a password (deterministic; exposed for
   /// the overwrite-hazard experiments).
   std::uint64_t hidden_offset(const std::string& password) const;
+
+  /// Hidden volume size in blocks (a tenth of the usable area, whatever
+  /// the password).
+  std::uint64_t hidden_blocks() const;
 
   /// True if the public FAT volume's high-water mark has crossed into the
   /// hidden volume region — the data-loss hazard of offset-based PDE.

@@ -78,6 +78,8 @@ struct FlusherPolicy {
   /// ... or once the oldest dirty block is this old on the virtual clock
   /// (needs a clock; ignored on untimed stacks).
   std::uint64_t deadline_ns = 10'000'000;
+
+  bool operator==(const FlusherPolicy&) const = default;
 };
 
 struct CacheConfig {

@@ -1,13 +1,15 @@
 // Hardware AES backend: x86 AES-NI through compiler intrinsics.
 //
-// Each kernel keeps up to eight independent blocks in flight, because one
-// `aesenc` has a latency of several cycles but issues every cycle: ECB and
-// XTS interleave consecutive blocks, CBC encryption interleaves eight
-// chains (the eight 512-byte sectors of a 4 KiB block), and CBC decryption
-// interleaves eight blocks of one chain, which it may since every
-// plaintext block depends only on two ciphertext blocks. Only the
-// functions here carry the `aes` target attribute, so the rest of the
-// build needs no extra flags, and a non-x86 build compiles none of this.
+// The ECB and CBC kernels keep up to eight independent blocks in flight,
+// because one `aesenc` has a latency of several cycles but issues every
+// cycle: ECB interleaves consecutive blocks, CBC encryption interleaves
+// eight chains (the eight 512-byte sectors of a 4 KiB block), and CBC
+// decryption interleaves eight blocks of one chain, which it may since
+// every plaintext block depends only on two ciphertext blocks. XTS, which
+// serves only the footer translators and DEFY/HIVE, runs one block at a
+// time. Only the functions here carry the `aes` target attribute, so the
+// rest of the build needs no extra flags, and a non-x86 build compiles
+// none of this.
 #include "crypto/aes_backend.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -172,21 +174,7 @@ MOBICEAL_AESNI void ni_xts(const AesSchedule& ks, const std::uint8_t* tweaks,
     std::uint8_t* dst = out + u * len;
     Tweak t{util::load_le<std::uint64_t>(tweaks + 16 * u),
             util::load_le<std::uint64_t>(tweaks + 16 * u + 8)};
-    std::size_t off = 0;
-    for (; off + 16 * kLanes <= len; off += 16 * kLanes) {
-      __m128i tw[kLanes], x[kLanes];
-      for (int i = 0; i < kLanes; ++i) {
-        tw[i] = _mm_set_epi64x(static_cast<long long>(t.hi),
-                               static_cast<long long>(t.lo));
-        t.double_in_place();
-        x[i] = _mm_xor_si128(load(src + off + 16 * i), tw[i]);
-      }
-      crypt<kLanes, kEncrypt>(rk, x);
-      for (int i = 0; i < kLanes; ++i) {
-        store(dst + off + 16 * i, _mm_xor_si128(x[i], tw[i]));
-      }
-    }
-    for (; off < len; off += 16) {
+    for (std::size_t off = 0; off < len; off += 16) {
       const __m128i tw = _mm_set_epi64x(static_cast<long long>(t.hi),
                                         static_cast<long long>(t.lo));
       t.double_in_place();

@@ -108,37 +108,6 @@ TEST(MetadataReader, RejectsGarbageImages) {
   EXPECT_THROW(adversary::ThinMetadataReader r(snap), util::MetadataError);
 }
 
-TEST(Attacks, RandomnessChangeDefeatsStaticSchemes) {
-  // Model of the Mobiflage/MobiPluto failure: random-filled free space
-  // changes between snapshots with no public explanation.
-  blockdev::MemBlockDevice dev(256);
-  crypto::SecureRandom rng(1);
-  util::Bytes noise(4096);
-  for (std::uint64_t b = 0; b < 256; ++b) {
-    rng.fill_bytes(noise);
-    dev.write_block(b, noise);
-  }
-  const auto d0 = Snapshot::take(dev);
-  // Public activity on blocks 0..9 (accounted); hidden write at block 200.
-  std::vector<std::uint64_t> accounted;
-  for (std::uint64_t b = 0; b < 10; ++b) {
-    rng.fill_bytes(noise);
-    dev.write_block(b, noise);
-    accounted.push_back(b);
-  }
-  rng.fill_bytes(noise);
-  dev.write_block(200, noise);  // the hidden write
-  const auto d1 = Snapshot::take(dev);
-
-  const auto rep = adversary::randomness_change_attack(d0, d1, accounted);
-  EXPECT_TRUE(rep.suspects_hidden_data);
-  EXPECT_EQ(rep.statistic, 1.0);
-
-  // Without the hidden write there is nothing to see.
-  const auto clean = adversary::randomness_change_attack(d1, d1, accounted);
-  EXPECT_FALSE(clean.suspects_hidden_data);
-}
-
 TEST(Attacks, NonpublicGrowthDefeatsMobiPluto) {
   auto disk = std::make_shared<blockdev::MemBlockDevice>(16384);
   baselines::MobiPlutoDevice::Config cfg;
@@ -335,13 +304,12 @@ TEST(GameParity, FtlGame) {
   cfg.scheme = "mobipluto";
   expect_tallies(adversary::run_ftl_game(cfg),
                  {{unaccounted, 4, 4}, {budget, 2, 4}, {tail, 2, 4}});
-  // Known Mobiflage defect: its hidden offset is drawn from [70%, 95%) of
-  // the span and the hidden volume ends at 95%, so an offset near the end
-  // leaves too few blocks to format the hidden ext volume. On this 32 MiB
-  // span the second trial of seed 1 draws such a salt.
+  // No thin pool to parse: tail locality alone judges Mobiflage. Seed 1
+  // once drew a hidden offset too near the end of this 32 MiB span to
+  // format the hidden volume; the volume is now sized before the draw.
   cfg.scheme = "mobiflage";
-  EXPECT_THROW(adversary::run_ftl_game(cfg), util::FsError);
-  // At the FTL bench's seed every trial formats; no thin pool to parse.
+  expect_tallies(adversary::run_ftl_game(cfg),
+                 {{unaccounted, 0, 0}, {budget, 0, 0}, {tail, 4, 4}});
   cfg.seed = 211;
   expect_tallies(adversary::run_ftl_game(cfg),
                  {{unaccounted, 0, 0}, {budget, 0, 0}, {tail, 4, 4}});

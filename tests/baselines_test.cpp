@@ -130,9 +130,35 @@ TEST(Mobiflage, HiddenOffsetDeterministicAndInWindow) {
   EXPECT_EQ(off, dev->hidden_offset("hid"));
   const std::uint64_t usable =
       16384 - fde::footer_blocks(4096);
+  EXPECT_EQ(dev->hidden_blocks(), usable / 10);
   EXPECT_GE(off, usable * 70 / 100);
-  EXPECT_LT(off, usable * 95 / 100);
+  EXPECT_LE(off + dev->hidden_blocks(), usable * 95 / 100);
   EXPECT_NE(dev->hidden_offset("hid"), dev->hidden_offset("other"));
+}
+
+TEST(Mobiflage, EveryHiddenVolumeFitsAndFormats) {
+  // The hidden volume is sized before its offset is drawn, so no password
+  // (or salt) leaves too little room for it. Swept on the 32 MiB span of
+  // the raw-flash game, where an offset drawn near 95% once left too few
+  // blocks to format the hidden ext volume.
+  auto disk = std::make_shared<blockdev::MemBlockDevice>(8192);
+  const std::uint64_t usable = 8192 - fde::footer_blocks(4096);
+  baselines::MobiflageDevice::Config cfg;
+  cfg.kdf_iterations = 1;
+  cfg.skip_random_fill = true;
+  cfg.crypt_cpu = dm::CryptCpuModel::zero();
+  for (int i = 0; i < 256; ++i) {
+    const std::string hid = "hidden-" + std::to_string(i);
+    cfg.rng_seed = 100 + i;  // a fresh footer salt per initialisation
+    auto dev = baselines::MobiflageDevice::initialize(disk, cfg, "pub", hid);
+    const std::uint64_t off = dev->hidden_offset(hid);
+    EXPECT_GE(off, usable * 70 / 100) << hid;
+    EXPECT_LE(off + dev->hidden_blocks(), usable * 95 / 100) << hid;
+    ASSERT_EQ(dev->boot(hid), baselines::MobiflageDevice::Mode::kHidden)
+        << hid;
+    dev->data_fs().write_file("/s", payload(4096, 1));
+    dev->reboot();
+  }
 }
 
 TEST(Mobiflage, OverwriteHazardDetectedByHighWaterMark) {

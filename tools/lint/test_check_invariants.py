@@ -459,7 +459,7 @@ class RealTreeSmoke(unittest.TestCase):
                                            "stack_config.cpp")):
             self.skipTest("not running inside the repo")
         knobs = dict(check_invariants.read_registry_knobs(repo))
-        self.assertGreaterEqual(len(knobs), 15)
+        self.assertEqual(len(knobs), 14)
         self.assertEqual(knobs.get("--ftl"), "MOBICEAL_FTL")
         self.assertEqual(knobs.get("--queue-depth"), "MOBICEAL_QUEUE_DEPTH")
 
