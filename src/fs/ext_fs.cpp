@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string_view>
 
 #include "fs/run_coalescer.hpp"
 #include "util/error.hpp"
@@ -10,7 +11,12 @@ namespace mobiceal::fs {
 
 namespace {
 constexpr std::uint32_t kExtVersion = 1;
-}
+
+// A directory is an array of 64-byte records: inode (u32, 0 = tombstone),
+// name length (u8), then the name.
+constexpr std::size_t kDirentSize = 64;
+constexpr std::size_t kMaxName = 57;
+}  // namespace
 
 // ---- FileSystem helpers (shared by all implementations) -----------------------
 
@@ -159,14 +165,14 @@ util::Bytes& ExtFs::cache_block(std::uint64_t block) {
   return it->second;
 }
 
-void ExtFs::dirty_block(std::uint64_t block) { dirty_[block] = true; }
+void ExtFs::dirty_block(std::uint64_t block) { dirty_.insert(block); }
 
 void ExtFs::sync() {
   write_superblock();
-  for (auto& [block, is_dirty] : dirty_) {
-    if (!is_dirty) continue;
-    dev_->write_block(block, cache_.at(block));
-    is_dirty = false;
+  while (!dirty_.empty()) {
+    const auto it = dirty_.begin();
+    dev_->write_block(*it, cache_.at(*it));
+    dirty_.erase(it);  // only once written: a throw leaves it dirty
   }
   dev_->flush();
 }
@@ -401,47 +407,46 @@ void ExtFs::truncate(Inode& inode) {
 
 // ---- directories ---------------------------------------------------------------------------------
 
-std::vector<ExtFs::Dirent> ExtFs::dir_entries(std::uint32_t dir_ino) {
-  const Inode dir = read_inode(dir_ino);
+template <typename Fn>
+void ExtFs::for_each_dirent(const Inode& dir, Fn&& fn) {
   if (dir.mode != kModeDir) throw util::FsError("not a directory");
-  const util::Bytes data = inode_read(dir, 0, dir.size, /*cached=*/true);
-  std::vector<Dirent> out;
-  for (std::size_t off = 0; off + kDirentSize <= data.size();
-       off += kDirentSize) {
-    const std::uint32_t ino = util::load_le<std::uint32_t>(data.data() + off);
-    if (ino == 0) continue;
-    const std::uint8_t name_len = data[off + 4];
-    Dirent d;
-    d.inode = ino;
-    d.name.assign(reinterpret_cast<const char*>(data.data() + off + 5),
-                  std::min<std::size_t>(name_len, kMaxName));
-    out.push_back(std::move(d));
+  bool stopped = false;
+  for (std::uint64_t pos = 0; pos < dir.size; pos += bs_) {
+    // Directories have no holes: appending a record allocates its block.
+    const std::uint64_t phys = bmap(dir, pos / bs_);
+    if (phys == 0) continue;
+    const std::uint8_t* blk = cache_block(phys).data();
+    const std::uint64_t end = std::min<std::uint64_t>(bs_, dir.size - pos);
+    for (std::size_t r = 0; !stopped && r + kDirentSize <= end;
+         r += kDirentSize) {
+      const std::uint8_t* rec = blk + r;
+      const std::string_view name(reinterpret_cast<const char*>(rec + 5),
+                                  std::min<std::size_t>(rec[4], kMaxName));
+      stopped = fn(util::load_le<std::uint32_t>(rec), name, pos + r);
+    }
   }
-  return out;
 }
 
 std::optional<std::uint32_t> ExtFs::dir_lookup(std::uint32_t dir_ino,
                                                const std::string& name) {
-  for (const auto& e : dir_entries(dir_ino)) {
-    if (e.name == name) return e.inode;
-  }
-  return std::nullopt;
+  std::optional<std::uint32_t> found;
+  for_each_dirent(read_inode(dir_ino), [&](auto ino, auto entry, auto) {
+    if (ino != 0 && entry == name) found = ino;
+    return found.has_value();
+  });
+  return found;
 }
 
 void ExtFs::dir_insert(std::uint32_t dir_ino, const std::string& name,
                        std::uint32_t ino) {
   if (name.size() > kMaxName) throw util::FsError("name too long: " + name);
   Inode dir = read_inode(dir_ino);
-  const util::Bytes data = inode_read(dir, 0, dir.size, /*cached=*/true);
   // Reuse a tombstoned slot if one exists, else append.
   std::uint64_t slot_off = dir.size;
-  for (std::size_t off = 0; off + kDirentSize <= data.size();
-       off += kDirentSize) {
-    if (util::load_le<std::uint32_t>(data.data() + off) == 0) {
-      slot_off = off;
-      break;
-    }
-  }
+  for_each_dirent(dir, [&](auto ino, auto, auto off) {
+    if (ino == 0) slot_off = off;
+    return ino == 0;
+  });
   util::Bytes rec(kDirentSize, 0);
   util::store_le<std::uint32_t>(rec.data(), ino);
   rec[4] = static_cast<std::uint8_t>(name.size());
@@ -452,27 +457,24 @@ void ExtFs::dir_insert(std::uint32_t dir_ino, const std::string& name,
 
 void ExtFs::dir_remove(std::uint32_t dir_ino, const std::string& name) {
   Inode dir = read_inode(dir_ino);
-  const util::Bytes data = inode_read(dir, 0, dir.size, /*cached=*/true);
-  for (std::size_t off = 0; off + kDirentSize <= data.size();
-       off += kDirentSize) {
-    const std::uint32_t ino = util::load_le<std::uint32_t>(data.data() + off);
-    if (ino == 0) continue;
-    const std::uint8_t name_len = data[off + 4];
-    const std::string entry(
-        reinterpret_cast<const char*>(data.data() + off + 5),
-        std::min<std::size_t>(name_len, kMaxName));
-    if (entry == name) {
-      const util::Bytes zero(kDirentSize, 0);
-      inode_write(dir_ino, dir, off, zero, /*cached=*/true);
-      write_inode(dir_ino, dir);
-      return;
-    }
-  }
-  throw util::FsError("no such entry: " + name);
+  std::optional<std::uint64_t> slot_off;
+  for_each_dirent(dir, [&](auto ino, auto entry, auto off) {
+    if (ino != 0 && entry == name) slot_off = off;
+    return slot_off.has_value();
+  });
+  if (!slot_off) throw util::FsError("no such entry: " + name);
+  const util::Bytes zero(kDirentSize, 0);
+  inode_write(dir_ino, dir, *slot_off, zero, /*cached=*/true);
+  write_inode(dir_ino, dir);
 }
 
 bool ExtFs::dir_empty(std::uint32_t dir_ino) {
-  return dir_entries(dir_ino).empty();
+  bool empty = true;
+  for_each_dirent(read_inode(dir_ino), [&](auto ino, auto, auto) {
+    empty = ino == 0;
+    return !empty;
+  });
+  return empty;
 }
 
 // ---- path resolution --------------------------------------------------------------------------------
@@ -555,7 +557,7 @@ void ExtFs::inode_write(std::uint32_t /*ino*/, Inode& inode,
 }
 
 util::Bytes ExtFs::inode_read(const Inode& inode, std::uint64_t offset,
-                              std::uint64_t len, bool cached) {
+                              std::uint64_t len) {
   if (offset >= inode.size) return {};
   len = std::min(len, inode.size - offset);
   util::Bytes out(len);
@@ -579,9 +581,6 @@ util::Bytes ExtFs::inode_read(const Inode& inode, std::uint64_t offset,
     if (phys == 0) {
       runs.flush();
       std::memset(out.data() + done, 0, take);
-    } else if (cached) {
-      auto& blk = cache_block(phys);
-      std::memcpy(out.data() + done, blk.data() + in_block, take);
     } else if (take == bs_) {
       runs.push(phys, done);
     } else {
@@ -598,22 +597,16 @@ util::Bytes ExtFs::inode_read(const Inode& inode, std::uint64_t offset,
 
 // ---- public API ----------------------------------------------------------------------------------------------
 
-void ExtFs::create(const std::string& path) {
-  const auto [parent, leaf] = resolve_parent(path);
-  if (dir_lookup(parent, leaf)) throw util::FsError("exists: " + path);
-  const std::uint32_t ino = alloc_inode();
-  Inode n;
-  n.mode = kModeFile;
-  write_inode(ino, n);
-  dir_insert(parent, leaf, ino);
-}
+void ExtFs::create(const std::string& path) { make_node(path, kModeFile); }
 
-void ExtFs::mkdir(const std::string& path) {
+void ExtFs::mkdir(const std::string& path) { make_node(path, kModeDir); }
+
+void ExtFs::make_node(const std::string& path, std::uint32_t mode) {
   const auto [parent, leaf] = resolve_parent(path);
   if (dir_lookup(parent, leaf)) throw util::FsError("exists: " + path);
   const std::uint32_t ino = alloc_inode();
   Inode n;
-  n.mode = kModeDir;
+  n.mode = mode;
   write_inode(ino, n);
   dir_insert(parent, leaf, ino);
 }
@@ -665,10 +658,11 @@ FileInfo ExtFs::stat(const std::string& path) {
 }
 
 std::vector<std::string> ExtFs::list(const std::string& path) {
-  const std::uint32_t ino =
-      split_path(path).empty() ? kRootInode : resolve(path);
   std::vector<std::string> out;
-  for (const auto& e : dir_entries(ino)) out.push_back(e.name);
+  for_each_dirent(read_inode(resolve(path)), [&](auto ino, auto entry, auto) {
+    if (ino != 0) out.emplace_back(entry);
+    return false;
+  });
   return out;
 }
 

@@ -17,6 +17,7 @@
 
 #include <map>
 #include <optional>
+#include <set>
 
 #include "fs/filesystem.hpp"
 
@@ -73,13 +74,6 @@ class ExtFs final : public FileSystem {
   static constexpr std::uint32_t kModeFile = 1;
   static constexpr std::uint32_t kModeDir = 2;
 
-  struct Dirent {
-    std::uint32_t inode = 0;
-    std::string name;
-  };
-  static constexpr std::size_t kDirentSize = 64;
-  static constexpr std::size_t kMaxName = 57;
-
   explicit ExtFs(std::shared_ptr<blockdev::BlockDevice> dev);
 
   // -- geometry / superblock --
@@ -113,13 +107,22 @@ class ExtFs final : public FileSystem {
                       bool include_indirect);
 
   // -- directories --
+  /// Hands `fn(inode, name, offset)` every 64-byte record of directory
+  /// `dir` (inode 0: a free slot), in offset order, read in place from the
+  /// metadata cache (`name` views the cached bytes); `fn` returns true to
+  /// stop. Every directory block is still touched (bmap, then cache_block)
+  /// in order after a stop, so a cold lookup's device reads never depend
+  /// on where its match sits.
+  template <typename Fn>
+  void for_each_dirent(const Inode& dir, Fn&& fn);
   std::optional<std::uint32_t> dir_lookup(std::uint32_t dir_ino,
                                           const std::string& name);
   void dir_insert(std::uint32_t dir_ino, const std::string& name,
                   std::uint32_t ino);
   void dir_remove(std::uint32_t dir_ino, const std::string& name);
-  std::vector<Dirent> dir_entries(std::uint32_t dir_ino);
   bool dir_empty(std::uint32_t dir_ino);
+  /// create()/mkdir(): a new empty inode of `mode`, linked at `path`.
+  void make_node(const std::string& path, std::uint32_t mode);
 
   // -- path resolution --
   std::uint32_t resolve(const std::string& path);
@@ -128,13 +131,14 @@ class ExtFs final : public FileSystem {
       const std::string& path);
 
   // -- ranged file I/O on inodes --
-  // Directory content goes through the metadata cache (dentry/page cache
-  // model: lookups cost no device I/O once cached); file data goes straight
-  // to the device.
+  // File data goes straight to the device. Directory records go through
+  // the metadata cache (dentry/page-cache model): inode_write(cached) writes
+  // them and for_each_dirent scans them in place, so a lookup costs no
+  // device I/O, and no virtual time, once the directory is cached.
   void inode_write(std::uint32_t ino, Inode& inode, std::uint64_t offset,
                    util::ByteSpan data, bool cached = false);
   util::Bytes inode_read(const Inode& inode, std::uint64_t offset,
-                         std::uint64_t len, bool cached = false);
+                         std::uint64_t len);
 
   std::shared_ptr<blockdev::BlockDevice> dev_;
   std::size_t bs_;
@@ -151,7 +155,8 @@ class ExtFs final : public FileSystem {
 
   /// Write-back cache for metadata + indirect blocks (page-cache model).
   std::map<std::uint64_t, util::Bytes> cache_;
-  std::map<std::uint64_t, bool> dirty_;
+  /// Blocks sync() must write back (ascending); dropped once written.
+  std::set<std::uint64_t> dirty_;
   std::uint64_t last_alloc_ = 0;
 };
 

@@ -6,6 +6,8 @@
 #include <algorithm>
 
 #include "blockdev/block_device.hpp"
+#include "blockdev/fault_injector.hpp"
+#include "blockdev/recording_device.hpp"
 #include "dm/crypt_target.hpp"
 #include "fs/ext_fs.hpp"
 #include "fs/fat_fs.hpp"
@@ -21,6 +23,16 @@ util::Bytes payload(std::size_t n, std::uint64_t seed) {
   }
   return out;
 }
+
+// FNV-1a over 64-bit words.
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t word) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (word >> (8 * i)) & 0xFF;
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+constexpr std::uint64_t kFnvBasis = 0xCBF29CE484222325ULL;
 }  // namespace
 
 TEST(FsEdge, DeeplyNestedDirectories) {
@@ -211,4 +223,101 @@ TEST(FsEdge, ProbeDoesNotDisturbDeviceState) {
   EXPECT_TRUE(fs::ExtFs::probe(*dev));
   EXPECT_FALSE(fs::FatFs::probe(*dev));
   EXPECT_EQ(dev->snapshot(), before);  // probing is read-only
+}
+
+TEST(FsEdge, ExtDirectoryIoIsPinned) {
+  // Every ExtFs directory operation (lookup, insert into a tombstone,
+  // remove, empty check, list) over a directory that spans all ten direct
+  // blocks and reaches into the indirect block, before and after a remount
+  // (cold cache). The device command log and the final image are pinned by
+  // hash: how the directory code walks its blocks may change, the device
+  // reads and writes it causes may not.
+  auto mem = std::make_shared<blockdev::MemBlockDevice>(4096);
+  auto rec = std::make_shared<blockdev::RecordingDevice>(mem);
+  const std::string long57(57, 'n');
+  const std::string long58(58, 'n');
+  {
+    auto fs = fs::ExtFs::format(rec, 1024);
+    fs->mkdir("/d");
+    fs->mkdir("/d/sub");
+    for (int i = 0; i < 700; ++i) fs->create("/d/f" + std::to_string(i));
+    EXPECT_EQ(fs->list("/d").size(), 701u);
+    fs->write_file("/d/f3", payload(5000, 3));
+    fs->write_file("/d/f699", payload(9000, 699));
+    EXPECT_TRUE(fs->exists("/d/f0"));
+    EXPECT_TRUE(fs->exists("/d/f699"));
+    EXPECT_FALSE(fs->exists("/d/f700"));
+    EXPECT_FALSE(fs->exists("/d/f3/x"));  // a file is not a directory
+    EXPECT_THROW(fs->list("/d/f3"), util::FsError);
+    fs->create("/d/" + long57);
+    EXPECT_TRUE(fs->exists("/d/" + long57));
+    EXPECT_THROW(fs->create("/d/" + long58), util::FsError);
+    EXPECT_FALSE(fs->exists("/d/" + long58));
+    fs->unlink("/d/f10");  // tombstone in direct block 0
+    EXPECT_FALSE(fs->exists("/d/f10"));
+    fs->create("/d/again");  // lands in the tombstone
+    EXPECT_THROW(fs->unlink("/d"), util::FsError);  // not empty
+    fs->unlink("/d/sub");                            // empty
+    EXPECT_EQ(fs->list("/d").size(), 701u);
+    fs->sync();
+  }
+  // Cold cache: the first lookup matches in the first directory block and
+  // must still read all eleven before the file data read that follows.
+  auto fs = fs::ExtFs::mount(rec);
+  EXPECT_TRUE(fs->exists("/d/f0"));
+  EXPECT_EQ(fs->read_file("/d/f3"), payload(5000, 3));
+  EXPECT_TRUE(fs->exists("/d/f699"));
+  EXPECT_TRUE(fs->exists("/d/again"));
+  EXPECT_FALSE(fs->exists("/d/f10"));
+  EXPECT_FALSE(fs->exists("/d/" + long58));
+  EXPECT_EQ(fs->read_file("/d/f699"), payload(9000, 699));
+  const auto names = fs->list("/d");
+  EXPECT_EQ(names.size(), 701u);
+  EXPECT_EQ(names.front(), "f0");  // slot 0 ("sub") is a tombstone
+  EXPECT_TRUE(std::find(names.begin(), names.end(), "again") != names.end());
+  EXPECT_TRUE(fs->fsck());
+
+  std::uint64_t log_hash = kFnvBasis;
+  for (const auto& op : rec->ops()) {
+    log_hash = fnv1a(log_hash, static_cast<std::uint64_t>(op.op));
+    log_hash = fnv1a(log_hash, op.first);
+    log_hash = fnv1a(log_hash, op.count);
+  }
+  std::uint64_t image_hash = kFnvBasis;
+  const util::Bytes& image = mem->raw();
+  for (std::size_t i = 0; i < image.size(); i += 8) {
+    image_hash = fnv1a(image_hash, util::load_le<std::uint64_t>(&image[i]));
+  }
+  // Values of the copy-and-parse directory code this scan replaced.
+  EXPECT_EQ(rec->ops().size(), 180u);
+  EXPECT_EQ(log_hash, 0xA9B0A0D65CF4F144ULL);
+  EXPECT_EQ(image_hash, 0x804D3404857A8C4EULL);
+}
+
+TEST(FsEdge, ExtSyncCutByAFaultLeavesTheRestDirty) {
+  // sync() writes the dirty metadata blocks in ascending order. A device
+  // fault part-way through leaves every block it did not write dirty, so
+  // the next sync lands the same image a fault-free sync does.
+  auto churn = [](fs::ExtFs& fs) {
+    fs.mkdir("/d");
+    for (int i = 0; i < 80; ++i) fs.create("/d/f" + std::to_string(i));
+    fs.write_file("/d/f7", payload(3000, 7));
+  };
+  auto ref = std::make_shared<blockdev::MemBlockDevice>(1024);
+  {
+    auto fs = fs::ExtFs::format(ref, 256);
+    churn(*fs);
+    fs->sync();
+  }
+  auto mem = std::make_shared<blockdev::MemBlockDevice>(1024);
+  auto faulty = std::make_shared<blockdev::FaultInjectedDevice>(
+      mem, std::make_shared<blockdev::FaultInjector>(blockdev::FaultPlan{}));
+  auto fs = fs::ExtFs::format(faulty, 256);
+  churn(*fs);
+  faulty->injector()->rearm_write_budget(2);
+  EXPECT_THROW(fs->sync(), blockdev::InjectedFault);
+  EXPECT_NE(mem->snapshot(), ref->snapshot());
+  fs->sync();  // the fault disarmed the budget
+  EXPECT_EQ(mem->snapshot(), ref->snapshot());
+  EXPECT_TRUE(fs->fsck());
 }

@@ -16,7 +16,10 @@ bench/harness.hpp). Metric-name suffixes carry the comparison direction:
 `_adv` metrics are the security-game canaries: a distinguisher's advantage
 growing by more than --adv-tolerance (absolute, default 0.05) over the
 committed baseline fails the gate — a deniability regression, not a
-performance one. Advantages shrinking is always fine.
+performance one. Advantages shrinking is always fine. An advantage is at
+most 0.5, so a canary whose baseline is at or above 0.5 - --adv-tolerance
+can never fire; the summary lists those under their own heading (a note,
+not a failure).
 
 Metrics with any other suffix (percentages, counts, derived ratios like
 _speedup — whose numerator and denominator are already gated individually)
@@ -45,6 +48,7 @@ import sys
 HIGHER_BETTER = ("_kbps", "_mbps")
 LOWER_BETTER = ("_s", "_ns")
 CANARY = ("_adv",)
+MAX_ADVANTAGE = 0.5
 
 # Run-configuration metrics: a mismatch means the two files are not
 # comparable at all (different workload, device queue model, cache,
@@ -89,11 +93,13 @@ def load(path: str) -> dict:
 class BenchReport:
     """Outcome of one baseline/candidate pair (or unpaired file)."""
 
-    def __init__(self, bench, status, compared=0, regressions=None):
+    def __init__(self, bench, status, compared=0, regressions=None,
+                 dead_canaries=None):
         self.bench = bench
         self.status = status
         self.compared = compared
         self.regressions = regressions or []
+        self.dead_canaries = dead_canaries or []  # [(metric, baseline)]
 
 
 def compare_pair(baseline_path, current_path, args) -> BenchReport:
@@ -113,6 +119,7 @@ def compare_pair(baseline_path, current_path, args) -> BenchReport:
                      f"configuration")
 
     regressions = []
+    dead_canaries = []
     compared = 0
     print(f"== {base['bench']}: {baseline_path} -> {current_path} "
           f"(threshold {args.threshold:g}%) ==")
@@ -131,6 +138,8 @@ def compare_pair(baseline_path, current_path, args) -> BenchReport:
             change = 100.0 * (new - old) / abs(old)
         if sign == 2:  # security canary: absolute growth gate
             regressed = (new - old) > args.adv_tolerance
+            if old >= MAX_ADVANTAGE - args.adv_tolerance:
+                dead_canaries.append((name, old))
             detail = f"{new - old:+.3f} abs"
         else:
             regressed = bool(sign) and sign * change < -args.threshold
@@ -147,7 +156,8 @@ def compare_pair(baseline_path, current_path, args) -> BenchReport:
             print(f"  {name:44s} (new metric, not in baseline)")
 
     status = STATUS_REGRESSION if regressions else STATUS_OK
-    return BenchReport(base["bench"], status, compared, regressions)
+    return BenchReport(base["bench"], status, compared, regressions,
+                       dead_canaries)
 
 
 def compare_dirs(baseline_dir, current_dir, args):
@@ -189,6 +199,13 @@ def print_summary(reports):
             detail = (f"{r.compared} tracked metrics, "
                       f"{len(r.regressions)} regression(s)")
         print(f"  {r.bench:{width}s}  {r.status:24s} {detail}")
+    dead = [(r.bench, name, old) for r in reports
+            for name, old in r.dead_canaries]
+    if dead:
+        print(f"== canaries that cannot fire (baseline >= "
+              f"{MAX_ADVANTAGE:g} - adv-tolerance; note, not a failure) ==")
+        for bench, name, old in dead:
+            print(f"  {bench:{width}s}  {name} = {old:.3f}")
 
 
 def main() -> int:

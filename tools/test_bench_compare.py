@@ -131,6 +131,19 @@ class CanaryGate(GateHarness):
                           {"mc.s4.qd8.stripe_parity_adv": 1.0})
         self.assertEqual(rc, 1)
 
+    def test_canary_that_cannot_fire_is_named_not_failed(self):
+        # An advantage tops out at 0.5: a baseline within the tolerance of
+        # it can never grow enough to fail, so the summary names it.
+        rc, out = self.pair({"g.saturated_adv": 0.5, "g.live_adv": 0.1},
+                            {"g.saturated_adv": 0.5, "g.live_adv": 0.1})
+        self.assertEqual(rc, 0)
+        self.assertIn("canaries that cannot fire", out)
+        note = out.split("canaries that cannot fire", 1)[1]
+        self.assertIn("g.saturated_adv", note)
+        self.assertNotIn("g.live_adv", note)
+        rc, out = self.pair({"g.live_adv": 0.1}, {"g.live_adv": 0.1})
+        self.assertNotIn("canaries that cannot fire", out)
+
     def test_adv_tolerance_flag(self):
         rc, _ = self.pair({"x_adv": 0.0}, {"x_adv": 0.2},
                           "--adv-tolerance", "0.5")
